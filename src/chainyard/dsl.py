@@ -50,10 +50,6 @@ class NodeSpec:
     admin_port: int
     wrapper_port: int | None = None  # absent for miners
 
-    @property
-    def is_miner(self) -> bool:
-        return self.role == "miner"
-
     def ports(self) -> tuple[int, ...]:
         if self.wrapper_port is None:
             return (self.blockchain_port, self.admin_port)

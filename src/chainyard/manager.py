@@ -111,6 +111,12 @@ START_TIMEOUT = 15.0
 STOP_GRACE = 5.0  # seconds before escalating admin stop to kill -9
 
 
+def _alive_test(pid: int) -> str:
+    """Shell test that holds while pid runs. kill -0 counts zombies as alive; in
+    containers nothing reaps reparented children promptly, so read the state."""
+    return f"s=$(ps -o state= -p {pid} 2>/dev/null) && case $s in *Z*) false ;; esac"
+
+
 class NetworkManager:
     def __init__(
         self,
@@ -316,7 +322,7 @@ class NetworkManager:
             if client.is_up(timeout=0.5):
                 if not self.force:
                     raise AlreadyRunning(f"node {node.name!r} is already running")
-                self._kill_node(node)
+                self._kill_node(node, self._read_pid(node))
             command = (
                 f"nohup {shlex.quote(self.python_cmd)} -m chainyard.node --data-dir {quoted} "
                 f">> {shlex.quote(str(directory / 'node.log'))} 2>&1 & echo $! > {shlex.quote(str(directory / 'node.pid'))}"
@@ -356,39 +362,27 @@ class NetworkManager:
             return None
 
     def _pid_alive(self, node: NodeSpec, pid: int) -> bool:
-        # kill -0 counts zombies as alive; in containers nothing reaps
-        # reparented children promptly, so check the process state instead.
-        result = self.executor.run(node.host, f"ps -o state= -p {pid} 2>/dev/null")
-        state = result.output.strip()
-        return result.status == 0 and bool(state) and not state.startswith("Z")
+        return self._probe(node.host, _alive_test(pid))
 
-    def _kill_node(self, node: NodeSpec) -> None:
-        pid = self._read_pid(node)
+    def _await_gone(self, node: NodeSpec, pid: int) -> bool:
+        """Wait on the host, up to STOP_GRACE, until pid is gone; False if it outlived the wait."""
+        loop = f"while {_alive_test(pid)}; do sleep 0.01; done"
+        return self._probe(node.host, f"timeout {STOP_GRACE:g} sh -c {shlex.quote(loop)}")
+
+    def _kill_node(self, node: NodeSpec, pid: int | None) -> None:
         if pid is not None and self._pid_alive(node, pid):
             self.executor.run(node.host, f"kill -9 {pid} 2>/dev/null")
-            deadline = time.monotonic() + 2.0
-            while time.monotonic() < deadline and self._pid_alive(node, pid):
-                time.sleep(0.02)
+            self._await_gone(node, pid)
 
-    def _stop_one(self, node: NodeSpec) -> None:
+    def _stop_one(self, node: NodeSpec, pid: int | None) -> None:
         started = time.perf_counter()
-        pid = self._read_pid(node)
-        escalated = False
         try:
             self.admin(node, timeout=2.0).stop()
         except (AdminError, AdminTimeout, AdminUnreachable):
             pass
-        deadline = time.monotonic() + STOP_GRACE
-        while pid is not None and self._pid_alive(node, pid):
-            if time.monotonic() > deadline:
-                self.executor.run(node.host, f"kill -9 {pid} 2>/dev/null")
-                escalated = True
-                break
-            time.sleep(0.02)
+        escalated = pid is not None and not self._await_gone(node, pid)
         if escalated:
-            deadline = time.monotonic() + 2.0
-            while pid is not None and self._pid_alive(node, pid) and time.monotonic() < deadline:
-                time.sleep(0.02)
+            self._kill_node(node, pid)
         # The stop anomaly reported at larger network sizes makes per-node
         # latencies worth keeping around for later investigation.
         logger.info(
@@ -396,13 +390,13 @@ class NetworkManager:
         )
 
     def network_stop(self) -> PhaseTiming:
-        running = [n for n in self.config.all_nodes() if self._node_running(n)]
+        pids = {node.name: self._read_pid(node) for node in self.config.all_nodes()}
+        running = [n for n in self.config.all_nodes() if self._node_running(n, pids[n.name])]
         if not running:
             raise NotRunning("no nodes of this network are running")
-        return self._timed(Phase.NETWORK_STOP, lambda: self._each(running, self._stop_one))
+        return self._timed(Phase.NETWORK_STOP, lambda: self._each(running, lambda n: self._stop_one(n, pids[n.name])))
 
-    def _node_running(self, node: NodeSpec) -> bool:
-        pid = self._read_pid(node)
+    def _node_running(self, node: NodeSpec, pid: int | None) -> bool:
         if pid is not None and self._pid_alive(node, pid):
             return True
         return self.admin(node).is_up(timeout=0.3)
@@ -410,14 +404,14 @@ class NetworkManager:
     def network_delete(self) -> PhaseTiming:
         if not self.config_dir().exists():
             raise NotCreated(f"{self.config_dir()} does not exist")
-        alive = [n.name for n in self.config.all_nodes() if self._node_running(n)]
+        alive = [n.name for n in self.config.all_nodes() if self._node_running(n, self._read_pid(n))]
         if alive and not self.force:
             raise ManagerError(f"refusing to delete while nodes run: {', '.join(sorted(alive))} (stop first)")
 
         def body() -> None:
             for node in self.config.all_nodes():
                 if self.force:
-                    self._kill_node(node)
+                    self._kill_node(node, self._read_pid(node))
                 self._run(node.host, f"rm -rf {shlex.quote(str(self.node_dir(node.name)))}")
             self._run("localhost", f"rm -rf {shlex.quote(str(self.config_dir()))}")
 

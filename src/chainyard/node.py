@@ -35,7 +35,7 @@ from pathlib import Path
 from . import chain as chainmod
 from .chain import Block, Chain, Transaction, compute_tx_id
 from .genesis import GenesisDocument, read_genesis
-from .protocol import framed_request, recv_framed, send_framed
+from .protocol import Server, framed_request, recv_framed, send_framed
 
 logger = logging.getLogger(__name__)
 
@@ -140,23 +140,37 @@ class NodeIdentity:
         }
 
 
+def _read_block_log(path: Path) -> tuple[list[Block], int]:
+    """The blocks in a ``blocks.log`` and the byte length of its complete part.
+
+    A final line that does not parse is an append cut short (``stop``
+    escalates to ``kill -9``): it is left out, and the length returned
+    ends before it. A bad line anywhere else raises GenesisMismatch.
+    """
+    with path.open("rb") as handle:
+        lines = handle.readlines()
+    blocks: list[Block] = []
+    complete = 0
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                blocks.append(Block.from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                if lineno == len(lines):
+                    break
+                raise GenesisMismatch(f"{path}:{lineno}: unreadable block line: {exc}") from exc
+        complete += len(line)
+    return blocks, complete
+
+
 def load_blocks(data_dir: str | Path) -> list[Block]:
     """Read the persisted chain (genesis block + block log) from a data directory."""
     paths = NodePaths(Path(data_dir))
     doc = read_genesis(paths.genesis)
     blocks = [chainmod.genesis_block(doc)]
     if paths.blocks.exists():
-        with paths.blocks.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    blocks.append(Block.from_dict(json.loads(line)))
+        blocks += _read_block_log(paths.blocks)[0]
     return blocks
-
-
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
 
 
 class NodeRuntime:
@@ -181,9 +195,8 @@ class NodeRuntime:
         self._outbox: list[tuple[tuple[str, int] | None, dict]] = []
         self._outbox_cond = threading.Condition()
         self._threads: list[threading.Thread] = []
-        self._admin_server: _Server | None = None
-        self._peer_server: _Server | None = None
-        self._serving = False
+        self._admin_server: Server | None = None
+        self._peer_server: Server | None = None
 
         self._replay()
         self._load_mempool()
@@ -209,17 +222,20 @@ class NodeRuntime:
         if not self.paths.blocks.exists():
             self.paths.blocks.touch()
             return
-        with self.paths.blocks.open("r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                block = Block.from_dict(json.loads(line))
-                status, detail = self.chain.receive_block(block)
-                if status != "accepted":
-                    raise GenesisMismatch(
-                        f"{self.paths.blocks}:{lineno}: persisted block rejected ({status}: {detail})"
-                    )
+        blocks, complete = _read_block_log(self.paths.blocks)
+        torn = self.paths.blocks.stat().st_size - complete
+        if torn:
+            with self.paths.blocks.open("r+b") as handle:
+                handle.truncate(complete)
+            logger.warning(
+                "%s: truncated a torn final line (%d bytes) from %s", self.identity.name, torn, self.paths.blocks
+            )
+        for block in blocks:
+            status, detail = self.chain.receive_block(block)
+            if status != "accepted":
+                raise GenesisMismatch(
+                    f"{self.paths.blocks}: persisted block {block.height} rejected ({status}: {detail})"
+                )
         logger.info("%s: replayed chain to height %d", self.identity.name, self.chain.height)
 
     def _load_mempool(self) -> None:
@@ -258,18 +274,15 @@ class NodeRuntime:
 
     def start(self) -> None:
         try:
-            self._admin_server = _Server((self.identity.host, self.identity.admin_port), self._admin_handler())
-            self._peer_server = _Server((self.identity.host, self.identity.blockchain_port), self._peer_handler())
+            self._admin_server = Server((self.identity.host, self.identity.admin_port), self._admin_handler())
+            self._peer_server = Server((self.identity.host, self.identity.blockchain_port), self._peer_handler())
         except OSError as exc:
-            for server in (self._admin_server, self._peer_server):
-                if server is not None:
-                    server.server_close()
+            if self._admin_server is not None:
+                self._admin_server.stop()
+                self._admin_server = None
             raise PortInUse(f"{self.identity.name}: {exc}") from exc
-        self._serving = True
-        for server in (self._admin_server, self._peer_server):
-            thread = threading.Thread(target=server.serve_forever, args=(0.1,), daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        self._admin_server.start()
+        self._peer_server.start()
         worker = threading.Thread(target=self._broadcast_loop, daemon=True)
         worker.start()
         self._threads.append(worker)
@@ -298,10 +311,7 @@ class NodeRuntime:
             self._outbox_cond.notify_all()
         for server in (self._admin_server, self._peer_server):
             if server is not None:
-                if self._serving:
-                    server.shutdown()
-                server.server_close()
-        self._serving = False
+                server.stop()
         self._admin_server = None
         self._peer_server = None
         with self._lock:
@@ -455,6 +465,7 @@ class NodeRuntime:
                     # Replicate a wedged client: accept the request, never answer.
                     runtime.stop_event.wait(UNRESPONSIVE_HANG_SECONDS)
                     return
+                op = None
                 try:
                     request = json.loads(line.decode("utf-8"))
                     op = request.get("op")
@@ -473,6 +484,8 @@ class NodeRuntime:
                     logger.exception("%s: admin request failed", runtime.identity.name)
                     response = {"ok": False, "error": {"code": "InternalError", "message": str(exc)}}
                 self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+                if op == "stop" and response["ok"]:
+                    runtime.request_stop()  # only now: the reply is already on the wire
 
         return AdminHandler
 
@@ -523,13 +536,8 @@ class NodeRuntime:
             self.mining_enabled = bool(params["enabled"])
             return self.mining_enabled
         if op == "stop":
-            threading.Thread(target=self._delayed_stop, daemon=True).start()
-            return "stopping"
+            return "stopping"  # the handler sets stop_event once this reply is written
         raise ValueError(f"unknown op {op!r}")
-
-    def _delayed_stop(self) -> None:
-        time.sleep(0.05)  # let the stop response flush first
-        self.request_stop()
 
     def _admin_submit(self, tx_dict: dict) -> str:
         tx = Transaction.from_dict(tx_dict)
@@ -580,9 +588,6 @@ class NodeRuntime:
                     self.peers.add((source[0], source[1]))
                     self._persist_peers()
                 return {"kind": "hello_ack", "height": self.chain.height}
-        if kind == "get_tip":
-            with self._lock:
-                return {"kind": "tip", "height": self.chain.height, "blockHash": self.chain.tip.block_hash}
         if kind == "get_blocks":
             start = int(message.get("fromHeight", 1))
             with self._lock:

@@ -11,11 +11,56 @@ big-endian length, then the UTF-8 payload).
 from __future__ import annotations
 
 import json
+import selectors
 import socket
+import socketserver
 import struct
+import threading
 from typing import Any
 
 MAX_FRAME = 64 * 1024 * 1024
+
+
+class Server(socketserver.ThreadingTCPServer):
+    """Threaded TCP server that stops as soon as it is told to.
+
+    ``serve_forever`` only sees a shutdown request when its poll interval
+    runs out; this server's loop also wakes on a socket pair that
+    ``stop()`` writes to, so stopping costs no poll wait.
+    """
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._wake_read, self._wake_write = socket.socketpair()
+        self._stop_requested = False
+        self._loop: threading.Thread | None = None
+
+    def start(self) -> None:
+        """Serve on a daemon thread."""
+        self._loop = threading.Thread(target=self._serve, daemon=True)
+        self._loop.start()
+
+    def _serve(self) -> None:
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wake_read, selectors.EVENT_READ)
+            while not self._stop_requested:
+                for key, _ in selector.select():
+                    if key.fileobj is self and not self._stop_requested:
+                        self._handle_request_noblock()
+
+    def stop(self) -> None:
+        """Stop serving, wait for the loop to end, and close the listening socket."""
+        self._stop_requested = True
+        self._wake_write.send(b"\0")
+        if self._loop is not None:
+            self._loop.join()
+        self.server_close()
+        self._wake_read.close()
+        self._wake_write.close()
 
 
 class AdminError(RuntimeError):

@@ -310,7 +310,7 @@ def run_day(
                 mine_deadline,
                 chain_digest,
             )
-        except (TesError, AdminError, PeerUnreachable) as exc:
+        except (TesError, AdminError, AdminTimeout, AdminUnreachable, PeerUnreachable) as exc:
             logger.error("interval %d failed: %s", interval, exc)
             outcome = IntervalOutcome(interval=interval, status="failed", error=str(exc))
         if outcome.chain_digest:

@@ -34,7 +34,16 @@ from .canonical import sha256_hex
 from .chain import DEFAULT_TX_COST, Transaction, make_transaction
 from .genesis import read_genesis
 from .node import NodeIdentity, NodePaths
-from .protocol import AdminClient, AdminError, AdminTimeout, AdminUnreachable, framed_request, recv_framed, send_framed
+from .protocol import (
+    AdminClient,
+    AdminError,
+    AdminTimeout,
+    AdminUnreachable,
+    Server,
+    framed_request,
+    recv_framed,
+    send_framed,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -241,11 +250,6 @@ class LocalNodeLauncher:
             proc.poll()
 
 
-class _OffchainServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
 class NodeWrapper:
     """Role-agnostic wrapper over one node's data directory.
 
@@ -291,15 +295,14 @@ class NodeWrapper:
         self._subs_lock = threading.Lock()
         self._events: Queue[NodeEvent | None] = Queue()
         self._submit_lock = threading.Lock()
-        self._recover_lock = threading.Lock()
-        self._recovering = False
+        self._recover_lock = threading.Lock()  # held while a recovery is claimed or running
         self._stopping = threading.Event()
         self._attached = False
         self._last_height: int | None = None
         self._consecutive_timeouts = 0
         self._unresponsive_reported = False
         self._threads: list[threading.Thread] = []
-        self._offchain_server: _OffchainServer | None = None
+        self._offchain_server: Server | None = None
         self._offchain_handlers: list[Callable[[dict], None]] = []
         self._seen_msg_ids: set[str] = set()
         self._seen_lock = threading.Lock()
@@ -311,14 +314,11 @@ class NodeWrapper:
             return self
         if self.identity.wrapper_port is not None:
             try:
-                self._offchain_server = _OffchainServer(
-                    (self.identity.host, self.identity.wrapper_port), self._offchain_handler()
-                )
+                address = (self.identity.host, self.identity.wrapper_port)
+                self._offchain_server = Server(address, self._offchain_handler())
             except OSError as exc:
                 raise BindFailure(f"{self.name}: cannot bind wrapper port {self.identity.wrapper_port}: {exc}") from exc
-            listener = threading.Thread(target=self._offchain_server.serve_forever, args=(0.1,), daemon=True)
-            listener.start()
-            self._threads.append(listener)
+            self._offchain_server.start()
         dispatcher = threading.Thread(target=self._dispatch_loop, daemon=True)
         dispatcher.start()
         monitor = threading.Thread(target=self._monitor_loop, daemon=True)
@@ -337,8 +337,7 @@ class NodeWrapper:
         self._stopping.set()
         self._events.put(None)
         if self._offchain_server is not None:
-            self._offchain_server.shutdown()
-            self._offchain_server.server_close()
+            self._offchain_server.stop()
             self._offchain_server = None
         self._attached = False
 
@@ -410,7 +409,7 @@ class NodeWrapper:
 
     def _monitor_loop(self) -> None:
         while not self._stopping.is_set():
-            if self._recovering:
+            if self._recover_lock.locked():
                 self._stopping.wait(self.poll_period)
                 continue
             cycle_started = time.monotonic()
@@ -546,26 +545,26 @@ class NodeWrapper:
     # -- recovery ------------------------------------------------------------------------
 
     def _schedule_recovery(self, trigger: NodeEvent) -> None:
-        if self._recovering:
+        # Claim the recovery before its thread starts: two triggers from one
+        # poll must not both find the wrapper idle and restart the node twice.
+        if not self._recover_lock.acquire(blocking=False):
             return
         logger.warning("%s: %s triggered automatic recovery", self.name, trigger.kind)
-        thread = threading.Thread(target=self._recover_guarded, daemon=True)
-        thread.start()
+        threading.Thread(target=self._recover_guarded, daemon=True).start()
 
     def _recover_guarded(self) -> None:
+        """Run a recovery claimed by _schedule_recovery, then release the claim."""
         try:
-            self.recover()
+            self._recover_inner()
         except RecoveryFailed as exc:
             logger.error("%s: automatic recovery gave up: %s", self.name, exc)
+        finally:
+            self._recover_lock.release()
 
     def recover(self) -> RecoveryReport:
         """Restart the node from its data directory and resubmit pending txs."""
         with self._recover_lock:
-            self._recovering = True
-            try:
-                return self._recover_inner()
-            finally:
-                self._recovering = False
+            return self._recover_inner()
 
     def _recover_inner(self) -> RecoveryReport:
         self._stop_node_process()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -262,6 +263,20 @@ def test_full_lifecycle_forms_star(live_network):
         assert not AdminClient(node.host, node.admin_port).is_up(timeout=0.3)
     manager.network_delete()
     assert not manager.config_dir().exists()
+
+
+def test_network_stop_lets_every_node_exit_without_escalation(live_network, caplog):
+    manager, config = live_network(prosumers=1)
+    pid_files = {node.name: manager.node_dir(node.name) / "node.pid" for node in config.all_nodes()}
+    pids = {name: int(path.read_text()) for name, path in pid_files.items()}
+    with caplog.at_level(logging.INFO, logger="chainyard.manager"):
+        manager.network_stop()
+    stops = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stop ")]
+    assert len(stops) == 3
+    assert not any("escalated to kill" in line for line in stops)
+    for node in config.all_nodes():
+        assert not manager._pid_alive(node, pids[node.name])
+        assert not pid_files[node.name].exists()  # removed by the node itself on a graceful exit
 
 
 def test_parallel_create_and_start(tmp_path):

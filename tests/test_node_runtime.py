@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import json
+import logging
 import socket
+import statistics
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -282,6 +287,80 @@ def test_admin_stop_sets_stop_event(tmp_path):
     assert admin.stop() == "stopping"
     wait_until(runtime.stop_event.is_set, timeout=3, message="stop event")
     runtime.shutdown()
+
+
+def test_admin_stop_replies_then_the_process_exits(tmp_path):
+    config, _, dirs = deploy(tmp_path, suffix="r")
+    node_dir = dirs["prosumer1"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chainyard.node", "--data-dir", str(node_dir)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        admin = admin_for(config, "prosumer1")
+        wait_until(admin.is_up, message="node up")
+        assert (node_dir / "node.pid").exists()
+        assert admin.stop() == "stopping"
+        assert proc.wait(timeout=5) == 0
+        assert not (node_dir / "node.pid").exists()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=5)
+
+
+def test_shutdown_does_not_wait_out_a_server_poll(tmp_path):
+    config, _, dirs = deploy(tmp_path, suffix="s")
+    admin = admin_for(config, "prosumer1")
+    took = []
+    for _ in range(5):
+        runtime = NodeRuntime(dirs["prosumer1"])
+        runtime.start()
+        assert admin.is_up()
+        started = time.perf_counter()
+        runtime.shutdown()
+        took.append(time.perf_counter() - started)
+    assert statistics.median(took) < 0.1, took  # waiting out a 0.1 s serve poll per server would fail this
+
+
+def test_torn_final_block_line_is_truncated_and_the_miner_mines_on(tmp_path, caplog):
+    config, _, dirs = deploy(tmp_path, suffix="t")
+    runtime = NodeRuntime(dirs["miner1"])
+    runtime.start()
+    admin = admin_for(config, "miner1")
+    wait_until(lambda: admin.block_number() >= 2, message="some blocks")
+    admin.set_mining(False)
+    time.sleep(0.3)  # a block already being mined still lands
+    runtime.shutdown()
+    height = runtime.chain.height
+
+    log = dirs["miner1"] / "blocks.log"
+    intact = log.read_bytes()
+    last = intact.splitlines()[-1]
+    log.write_bytes(intact + last[: len(last) // 2])  # an append cut short by kill -9
+    assert len(load_blocks(dirs["miner1"])) == height + 1
+
+    with caplog.at_level(logging.WARNING, logger="chainyard.node"):
+        restarted = NodeRuntime(dirs["miner1"])
+    assert "torn final line" in caplog.text
+    assert restarted.chain.height == height
+    assert log.read_bytes() == intact
+    restarted.start()
+    try:
+        wait_until(lambda: admin.block_number() > height, message="mining on after the truncation")
+    finally:
+        restarted.shutdown()
+    assert len(load_blocks(dirs["miner1"])) > height + 1
+
+
+def test_bad_block_line_before_the_end_is_a_genesis_mismatch(tmp_path):
+    _, _, dirs = deploy(tmp_path, suffix="u")
+    (dirs["miner1"] / "blocks.log").write_bytes(b'{"height": 1, "torn\n{"height": 2}\n')
+    with pytest.raises(GenesisMismatch, match="blocks.log:1"):
+        NodeRuntime(dirs["miner1"])
+    with pytest.raises(GenesisMismatch, match="blocks.log:1"):
+        load_blocks(dirs["miner1"])
 
 
 def test_load_blocks_reads_persisted_chain(tmp_path, boot):

@@ -8,6 +8,7 @@ from chainyard.chain import Chain, make_transaction
 from chainyard.genesis import derive_account, make_genesis
 from chainyard.manager import make_bench_config
 from chainyard.node import load_blocks
+from chainyard.protocol import AdminUnreachable
 from chainyard.tes import (
     Order,
     Tariff,
@@ -302,6 +303,24 @@ def test_run_day_with_fault_recovers_and_still_commits(day_network):
     manager.network_stop()
     blocks = load_blocks(manager.node_dir(config.miners[0].name))
     assert all(f.ok for f in audit_report(report, blocks))
+
+
+def test_run_day_records_an_unreachable_node_as_a_failed_interval(day_network):
+    manager, config, wrappers = day_network(prosumers=2)
+    dso = wrappers["dso1"]
+    submit, commits = dso.submit, []
+
+    def submit_meeting_a_restart(*args, payload_hash=None, **kwargs):
+        if payload_hash is not None:  # the interval's on-chain commitment
+            commits.append(payload_hash)
+            if len(commits) == 2:
+                raise AdminUnreachable("admin unreachable: node restarting")
+        return submit(*args, payload_hash=payload_hash, **kwargs)
+
+    dso.submit = submit_meeting_a_restart
+    report = run_day(wrappers, config, seed=42, intervals=3)
+    assert [o["status"] for o in report["outcomes"]] == ["ok", "failed", "ok"]
+    assert "node restarting" in report["outcomes"][1]["error"]
 
 
 def test_stable_report_view_strips_timestamps():

@@ -18,6 +18,7 @@ from chainyard.wrapper import (
     TX_MINED,
     TX_STALLED,
     BindFailure,
+    NodeEvent,
     NodeWrapper,
     PeerUnreachable,
     RecoveryFailed,
@@ -218,6 +219,33 @@ def test_recovery_failed_after_max_restarts(wrapped):
     with pytest.raises(RecoveryFailed):
         wrapper.recover()
     assert wrapper.recovery_count == 0
+
+
+def test_two_stall_triggers_in_one_poll_restart_the_node_once(wrapped, monkeypatch):
+    manager, config, wrappers = wrapped(auto_recover=False)
+    wrapper = wrappers["prosumer1"]
+    started = []
+
+    class LateThread(threading.Thread):
+        """A thread that gets the processor only a while after start(), as on a busy host."""
+
+        def start(self):
+            started.append(self)
+            super().start()
+
+        def run(self):
+            time.sleep(0.3)
+            super().run()
+
+    trigger = NodeEvent(TX_STALLED, time.time(), tx_id="0" * 64, blocks_waited=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(threading, "Thread", LateThread)
+        wrapper._schedule_recovery(trigger)  # what the dispatcher does for each of
+        wrapper._schedule_recovery(trigger)  # two stalls reported by one poll
+    for thread in started:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert wrapper.recovery_count == 1
 
 
 def test_manual_recover_resubmits_pending(wrapped):
