@@ -101,6 +101,31 @@ def compute_tx_id(sender: str, recipient: str, value: int, nonce: int, cost: int
     )
 
 
+def check_tx(tx: Transaction, gas_limit: int) -> None:
+    """The stateless tx rules: the id matches the fields, 1 <= cost <= gas limit, value >= 0."""
+    if compute_tx_id(tx.sender, tx.recipient, tx.value, tx.nonce, tx.cost, tx.payload_hash) != tx.tx_id:
+        raise TxError(f"tx {tx.tx_id[:12]}: id does not match its fields")
+    if tx.cost < 1:
+        raise TxError(f"tx {tx.tx_id[:12]}: cost must be a positive integer")
+    if tx.cost > gas_limit:
+        raise CostExceedsGasLimit(f"tx {tx.tx_id[:12]}: cost {tx.cost} exceeds gas limit {gas_limit}")
+    if tx.value < 0:
+        raise TxError(f"tx {tx.tx_id[:12]}: value must be non-negative")
+
+
+def apply_tx(balances: dict[str, int], nonces: dict[str, int], tx: Transaction) -> None:
+    """Move tx.value and bump the sender's nonce; on BadNonce/InsufficientBalance change nothing."""
+    expected = nonces.get(tx.sender, 0)
+    if tx.nonce != expected:
+        raise BadNonce(f"tx {tx.tx_id[:12]}: nonce {tx.nonce}, expected {expected}")
+    available = balances.get(tx.sender, 0)
+    if tx.value > available:
+        raise InsufficientBalance(f"tx {tx.tx_id[:12]}: value {tx.value} exceeds balance {available}")
+    balances[tx.sender] = available - tx.value
+    balances[tx.recipient] = balances.get(tx.recipient, 0) + tx.value
+    nonces[tx.sender] = tx.nonce + 1
+
+
 def make_transaction(
     sender: str,
     recipient: str,
@@ -162,6 +187,18 @@ def block_header_hash(height: int, parent_hash: str, timestamp: int, miner: str,
             "txRoot": root,
         }
     )
+
+
+def header_problem(block: Block, target_bits: int) -> str | None:
+    """Why the block's hash is not a valid proof-of-work over its header, or None."""
+    expected = block_header_hash(
+        block.height, block.parent_hash, block.timestamp, block.miner, block.pow_nonce, tx_root(block.transactions)
+    )
+    if expected != block.block_hash:
+        return "block hash does not match header fields"
+    if not meets_target(block.block_hash, target_bits):
+        return f"hash does not meet {target_bits} leading zero bits"
+    return None
 
 
 def genesis_block(doc: GenesisDocument) -> Block:
@@ -244,23 +281,13 @@ class Chain:
 
     def submit_transaction(self, tx: Transaction) -> str:
         """Admit a transaction to the mempool. Duplicate tx_id is a no-op."""
+        check_tx(tx, self.gas_limit)
         if tx.tx_id in self.mempool or tx.tx_id in self.applied:
             return tx.tx_id
-        if tx.cost < 1:
-            raise TxError(f"tx {tx.tx_id[:12]}: cost must be a positive integer")
-        if tx.cost > self.gas_limit:
-            raise CostExceedsGasLimit(f"tx {tx.tx_id[:12]}: cost {tx.cost} exceeds gas limit {self.gas_limit}")
-        if tx.value < 0:
-            raise TxError(f"tx {tx.tx_id[:12]}: value must be non-negative")
-        expected = self.next_nonce_for(tx.sender)
-        if tx.nonce != expected:
-            raise BadNonce(f"tx {tx.tx_id[:12]}: nonce {tx.nonce}, expected {expected}")
-        # Spendable balance accounts for value already committed in the mempool.
-        available = self.balance_of(tx.sender) - self.pending_spend(tx.sender)
-        if tx.value > available:
-            raise InsufficientBalance(
-                f"tx {tx.tx_id[:12]}: value {tx.value} exceeds available balance {available}"
-            )
+        # Apply to a view of the sender alone, net of what its mempool txs already commit.
+        sender = tx.sender
+        spendable = {sender: self.balance_of(sender) - self.pending_spend(sender)}
+        apply_tx(spendable, {sender: self.next_nonce_for(sender)}, tx)
         self.mempool[tx.tx_id] = tx
         return tx.tx_id
 
@@ -272,34 +299,26 @@ class Chain:
         for tx in self.mempool.values():
             if len(picked) >= max_txs:
                 break
-            if tx.nonce != nonces.get(tx.sender, 0) or tx.value > balances.get(tx.sender, 0):
+            try:
+                apply_tx(balances, nonces, tx)
+            except TxError:
                 continue
-            balances[tx.sender] = balances.get(tx.sender, 0) - tx.value
-            balances[tx.recipient] = balances.get(tx.recipient, 0) + tx.value
-            nonces[tx.sender] = tx.nonce + 1
             picked.append(tx)
         return tuple(picked)
 
-    def _try_apply(self, block: Block) -> tuple[bool, str | None]:
+    def _try_apply(self, block: Block) -> str | None:
+        """Apply the block's txs all or none; the reason the first bad one fails, or None."""
         balances = dict(self.balances)
         nonces = dict(self.next_nonce)
         seen: set[str] = set()
         for tx in block.transactions:
             if tx.tx_id in self.applied or tx.tx_id in seen:
-                return False, f"tx {tx.tx_id[:12]} already applied"
-            if compute_tx_id(tx.sender, tx.recipient, tx.value, tx.nonce, tx.cost, tx.payload_hash) != tx.tx_id:
-                return False, f"tx {tx.tx_id[:12]} id does not match its fields"
-            if tx.cost < 1 or tx.cost > self.gas_limit:
-                return False, f"tx {tx.tx_id[:12]} cost {tx.cost} outside (0, {self.gas_limit}]"
-            if tx.value < 0:
-                return False, f"tx {tx.tx_id[:12]} negative value"
-            if tx.nonce != nonces.get(tx.sender, 0):
-                return False, f"tx {tx.tx_id[:12]} nonce {tx.nonce}, expected {nonces.get(tx.sender, 0)}"
-            if tx.value > balances.get(tx.sender, 0):
-                return False, f"tx {tx.tx_id[:12]} value {tx.value} exceeds balance"
-            balances[tx.sender] = balances.get(tx.sender, 0) - tx.value
-            balances[tx.recipient] = balances.get(tx.recipient, 0) + tx.value
-            nonces[tx.sender] = tx.nonce + 1
+                return f"tx {tx.tx_id[:12]} already applied"
+            try:
+                check_tx(tx, self.gas_limit)
+                apply_tx(balances, nonces, tx)
+            except TxError as exc:
+                return str(exc)
             seen.add(tx.tx_id)
         self.balances = balances
         self.next_nonce = nonces
@@ -307,7 +326,7 @@ class Chain:
             self.applied[tx.tx_id] = block.height
             self.mempool.pop(tx.tx_id, None)
         self.blocks.append(block)
-        return True, None
+        return None
 
     def receive_block(self, block: Block) -> tuple[str, str | None]:
         """Validate and apply a block atomically.
@@ -321,16 +340,12 @@ class Chain:
         tip = self.tip
         if block.height != tip.height + 1 or block.parent_hash != tip.block_hash:
             return "BadParent", f"expected parent {tip.block_hash[:12]} at height {tip.height + 1}"
-        expected_hash = block_header_hash(
-            block.height, block.parent_hash, block.timestamp, block.miner, block.pow_nonce, tx_root(block.transactions)
-        )
-        if expected_hash != block.block_hash:
-            return "BadPow", "block hash does not match header fields"
-        if not meets_target(block.block_hash, self.target_bits):
-            return "BadPow", f"hash does not meet {self.target_bits} leading zero bits"
-        ok, detail = self._try_apply(block)
-        if not ok:
-            return "BadTx", detail
+        problem = header_problem(block, self.target_bits)
+        if problem is not None:
+            return "BadPow", problem
+        problem = self._try_apply(block)
+        if problem is not None:
+            return "BadTx", problem
         return "accepted", None
 
     def mine_next(
@@ -388,26 +403,19 @@ def audit_chain(blocks: list[Block], doc: GenesisDocument) -> list[str]:
             break
         if block.parent_hash != blocks[i - 1].block_hash:
             problems.append(f"block {i}: parent hash does not match block {i - 1}")
-        expected = block_header_hash(
-            block.height, block.parent_hash, block.timestamp, block.miner, block.pow_nonce, tx_root(block.transactions)
-        )
-        if expected != block.block_hash:
-            problems.append(f"block {i}: stored hash does not match header")
-        if not meets_target(block.block_hash, target_bits):
-            problems.append(f"block {i}: proof-of-work below {target_bits} bits")
+        problem = header_problem(block, target_bits)
+        if problem is not None:
+            problems.append(f"block {i}: {problem}")
         for tx in block.transactions:
             if tx.tx_id in seen_txs:
                 problems.append(f"block {i}: tx {tx.tx_id[:12]} applied twice")
                 continue
-            if tx.nonce != nonces.get(tx.sender, 0):
-                problems.append(f"block {i}: tx {tx.tx_id[:12]} nonce {tx.nonce} out of sequence")
-            if tx.value > balances.get(tx.sender, 0) or tx.value < 0:
-                problems.append(f"block {i}: tx {tx.tx_id[:12]} value not covered by balance")
-            if not (1 <= tx.cost <= doc.gas_limit):
-                problems.append(f"block {i}: tx {tx.tx_id[:12]} cost outside gas limit")
-            balances[tx.sender] = balances.get(tx.sender, 0) - tx.value
-            balances[tx.recipient] = balances.get(tx.recipient, 0) + tx.value
-            nonces[tx.sender] = tx.nonce + 1
+            try:
+                check_tx(tx, doc.gas_limit)
+                apply_tx(balances, nonces, tx)
+            except TxError as exc:
+                problems.append(f"block {i}: {exc}")  # and left out of the running balances
+                continue
             seen_txs.add(tx.tx_id)
         if sum(balances.values()) != total:
             problems.append(f"block {i}: balance sum diverged from genesis total {total}")

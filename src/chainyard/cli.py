@@ -13,6 +13,7 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import dsl, node, tes
 from .executor import make_executor
@@ -152,36 +153,25 @@ def _cmd_validate(args) -> int:
     return EXIT_VALIDATION
 
 
+_LIFECYCLE: dict[str, Callable[[NetworkManager], list[PhaseTiming]]] = {
+    "create": lambda manager: manager.network_create(),
+    "clients-create": lambda manager: [manager.clients_create()],
+    "miners-create": lambda manager: [manager.miners_create()],
+    "blockchain-make": lambda manager: [manager.blockchain_make()],
+    "blockchain-create": lambda manager: [manager.blockchain_create()],
+    "distribute-clients": lambda manager: [manager.distribute("clients")],
+    "distribute-miners": lambda manager: [manager.distribute("miners")],
+    "start-miners": lambda manager: [manager.start("miners")],
+    "start-clients": lambda manager: [manager.start("clients")],
+    "connect": lambda manager: [manager.network_connect()],
+    "stop": lambda manager: [manager.network_stop()],
+    "delete": lambda manager: [manager.network_delete()],
+}
+
+
 def _cmd_lifecycle(args) -> int:
     config = _load_config(args.config)
-    manager = _manager(args, config)
-    command = args.command
-    if command == "create":
-        timings = manager.network_create()
-    elif command == "clients-create":
-        timings = [manager.clients_create()]
-    elif command == "miners-create":
-        timings = [manager.miners_create()]
-    elif command == "blockchain-make":
-        timings = [manager.blockchain_make()]
-    elif command == "blockchain-create":
-        timings = [manager.blockchain_create()]
-    elif command == "distribute-clients":
-        timings = [manager.distribute("clients")]
-    elif command == "distribute-miners":
-        timings = [manager.distribute("miners")]
-    elif command == "start-miners":
-        timings = [manager.start("miners")]
-    elif command == "start-clients":
-        timings = [manager.start("clients")]
-    elif command == "connect":
-        timings = [manager.network_connect()]
-    elif command == "stop":
-        timings = [manager.network_stop()]
-    elif command == "delete":
-        timings = [manager.network_delete()]
-    else:  # pragma: no cover - parser restricts commands
-        raise ValueError(command)
+    timings = _LIFECYCLE[args.command](_manager(args, config))
     _print_timings(timings)
     if args.csv:
         _write_timings_csv(timings, args.csv)

@@ -29,9 +29,11 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from .chain import DEFAULT_MAX_BLOCK_TXS
 from .dsl import NetworkConfig, NodeSpec, validate
 from .executor import Executor, LocalExecutor
 from .genesis import derive_account, make_genesis, write_genesis
+from .node import DEFAULT_BLOCK_INTERVAL
 from .protocol import AdminClient, AdminError, AdminTimeout, AdminUnreachable
 
 logger = logging.getLogger(__name__)
@@ -103,8 +105,8 @@ class DistributeHashMismatch(ManagerError):
 class NodeDefaults:
     """Runtime knobs stamped into node.json at create time (not part of the DSL)."""
 
-    block_interval: float = 0.25
-    max_block_txs: int = 64
+    block_interval: float = DEFAULT_BLOCK_INTERVAL
+    max_block_txs: int = DEFAULT_MAX_BLOCK_TXS
 
 
 START_TIMEOUT = 15.0

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import chain as chainmod
-from .chain import Block, Chain, Transaction, compute_tx_id
+from .chain import Block, Chain, Transaction
 from .genesis import GenesisDocument, read_genesis
 from .protocol import Server, framed_request, recv_framed, send_framed
 
@@ -44,7 +44,6 @@ UNRESPONSIVE_HANG_SECONDS = 600.0
 SYNC_BATCH = 500
 
 DEFAULT_BLOCK_INTERVAL = 0.25
-DEFAULT_MAX_BLOCK_TXS = chainmod.DEFAULT_MAX_BLOCK_TXS
 
 
 class PortInUse(OSError):
@@ -122,7 +121,7 @@ class NodeIdentity:
             wrapper_port=data.get("wrapperPort"),
             account=data["account"],
             block_interval=data.get("blockIntervalSeconds", DEFAULT_BLOCK_INTERVAL),
-            max_block_txs=data.get("maxBlockTxs", DEFAULT_MAX_BLOCK_TXS),
+            max_block_txs=data.get("maxBlockTxs", chainmod.DEFAULT_MAX_BLOCK_TXS),
         )
 
     def dump(self) -> dict:
@@ -223,13 +222,18 @@ class NodeRuntime:
             self.paths.blocks.touch()
             return
         blocks, complete = _read_block_log(self.paths.blocks)
-        torn = self.paths.blocks.stat().st_size - complete
-        if torn:
-            with self.paths.blocks.open("r+b") as handle:
+        with self.paths.blocks.open("r+b") as handle:
+            torn = handle.seek(0, os.SEEK_END) - complete
+            if torn:
                 handle.truncate(complete)
-            logger.warning(
-                "%s: truncated a torn final line (%d bytes) from %s", self.identity.name, torn, self.paths.blocks
-            )
+                logger.warning(
+                    "%s: truncated a torn final line (%d bytes) from %s", self.identity.name, torn, self.paths.blocks
+                )
+            elif complete:
+                handle.seek(complete - 1)
+                if handle.read(1) != b"\n":  # an append cut just before its newline
+                    handle.write(b"\n")  # else the next append would join onto the last block
+                    logger.warning("%s: wrote the missing final newline of %s", self.identity.name, self.paths.blocks)
         for block in blocks:
             status, detail = self.chain.receive_block(block)
             if status != "accepted":
@@ -363,12 +367,7 @@ class NodeRuntime:
             )
             if block is None:
                 break
-            with self._lock:
-                status, detail = self.chain.receive_block(block)
-                if status == "accepted":
-                    self._persist_block(block)
-                    if block.transactions:
-                        self._persist_mempool()
+            status, detail = self._accept_block(block)
             if status == "accepted":
                 logger.debug("%s mined block %d (%d txs)", self.identity.name, block.height, len(block.transactions))
                 self._enqueue(None, {"kind": "new_block", "from": self.endpoint, "block": block.to_dict()})
@@ -377,6 +376,31 @@ class NodeRuntime:
             remaining = interval - (time.monotonic() - started)
             if remaining > 0:
                 self.stop_event.wait(remaining)
+
+    def _accept_block(self, block: Block) -> tuple[str, str | None]:
+        """Apply a block to the chain; if accepted, persist it and the mempool it trimmed."""
+        with self._lock:
+            status, detail = self.chain.receive_block(block)
+            if status == "accepted":
+                self._persist_block(block)
+                if block.transactions:
+                    self._persist_mempool()
+        return status, detail
+
+    def _admit_tx(self, tx_dict: dict, source: tuple[str, int] | None) -> bool:
+        """Admit a tx to the mempool, persist it and gossip it on; False if it was already known.
+
+        Raises TxError if the chain rejects it.
+        """
+        tx = Transaction.from_dict(tx_dict)
+        with self._lock:
+            known = tx.tx_id in self.chain.mempool or tx.tx_id in self.chain.applied
+            self.chain.submit_transaction(tx)
+            if not known:
+                self._persist_mempool()
+        if not known and self.fault != "stall_mempool":
+            self._enqueue(source, {"kind": "new_tx", "from": self.endpoint, "tx": tx.to_dict()})
+        return not known
 
     # -- gossip ----------------------------------------------------------------
 
@@ -440,12 +464,7 @@ class NodeRuntime:
                 return
             for block_dict in batch:
                 block = Block.from_dict(block_dict)
-                with self._lock:
-                    status, _ = self.chain.receive_block(block)
-                    if status == "accepted":
-                        self._persist_block(block)
-                        if block.transactions:
-                            self._persist_mempool()
+                status, _ = self._accept_block(block)
                 if status not in ("accepted", "duplicate"):
                     return
             if len(batch) < SYNC_BATCH:
@@ -520,7 +539,8 @@ class NodeRuntime:
                 status, height, tx = self.chain.transaction_status(params["txId"])
                 return {"status": status, "height": height, "tx": tx.to_dict() if tx else None}
         if op == "submit_tx":
-            return self._admin_submit(params["tx"])
+            self._admit_tx(params["tx"], None)
+            return params["tx"]["txId"]
         if op == "add_peer":
             return self._admin_add_peer(params["host"], params["port"])
         if op == "set_fault":
@@ -538,19 +558,6 @@ class NodeRuntime:
         if op == "stop":
             return "stopping"  # the handler sets stop_event once this reply is written
         raise ValueError(f"unknown op {op!r}")
-
-    def _admin_submit(self, tx_dict: dict) -> str:
-        tx = Transaction.from_dict(tx_dict)
-        if compute_tx_id(tx.sender, tx.recipient, tx.value, tx.nonce, tx.cost, tx.payload_hash) != tx.tx_id:
-            raise chainmod.TxError(f"tx id {tx.tx_id[:12]} does not match its fields")
-        with self._lock:
-            known = tx.tx_id in self.chain.mempool or tx.tx_id in self.chain.applied
-            tx_id = self.chain.submit_transaction(tx)
-            if not known:
-                self._persist_mempool()
-        if not known and self.fault != "stall_mempool":
-            self._enqueue(None, {"kind": "new_tx", "from": self.endpoint, "tx": tx.to_dict()})
-        return tx_id
 
     def _admin_add_peer(self, host: str, port: int) -> int:
         if (host, port) == (self.identity.host, self.identity.blockchain_port):
@@ -596,37 +603,22 @@ class NodeRuntime:
         if kind == "new_block":
             return self._peer_new_block(message, source)
         if kind == "new_tx":
-            return self._peer_new_tx(message, source)
+            try:
+                fresh = self._admit_tx(message["tx"], source)
+            except chainmod.TxError as exc:
+                return {"kind": "ok", "status": "rejected", "detail": str(exc)}
+            return {"kind": "ok", "status": "accepted" if fresh else "duplicate"}
         return {"kind": "error", "message": f"unknown message kind {kind!r}"}
 
     def _peer_new_block(self, message: dict, source: tuple[str, int] | None) -> dict:
         block = Block.from_dict(message["block"])
-        with self._lock:
-            status, detail = self.chain.receive_block(block)
-            if status == "accepted":
-                self._persist_block(block)
-                if block.transactions:
-                    self._persist_mempool()
+        status, detail = self._accept_block(block)
         if status == "accepted":
             # Forward exactly once: only the first acceptance reaches this path.
             self._enqueue(source, {"kind": "new_block", "from": self.endpoint, "block": message["block"]})
         elif status == "BadParent" and source and block.height > self.chain.height + 1:
             threading.Thread(target=self._sync_from, args=source, daemon=True).start()
         return {"kind": "ok", "status": status, "detail": detail}
-
-    def _peer_new_tx(self, message: dict, source: tuple[str, int] | None) -> dict:
-        tx = Transaction.from_dict(message["tx"])
-        try:
-            with self._lock:
-                known = tx.tx_id in self.chain.mempool or tx.tx_id in self.chain.applied
-                self.chain.submit_transaction(tx)
-                if not known:
-                    self._persist_mempool()
-        except chainmod.TxError as exc:
-            return {"kind": "ok", "status": "rejected", "detail": str(exc)}
-        if not known and self.fault != "stall_mempool":
-            self._enqueue(source, {"kind": "new_tx", "from": self.endpoint, "tx": message["tx"]})
-        return {"kind": "ok", "status": "accepted" if not known else "duplicate"}
 
 
 class _AdminFault(RuntimeError):

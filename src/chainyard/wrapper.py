@@ -289,7 +289,6 @@ class NodeWrapper:
         self.offchain_retries = offchain_retries
 
         self.recovery_count = 0
-        self.recovery_reports: list[RecoveryReport] = []
 
         self._subs: list[Subscription] = []
         self._subs_lock = threading.Lock()
@@ -595,7 +594,6 @@ class NodeWrapper:
             self._last_height = status["height"]
             report = RecoveryReport(restarted=True, resubmitted=resubmitted, attempts=attempts)
             self.recovery_count += 1
-            self.recovery_reports.append(report)
             logger.info("%s: recovered after %d attempt(s), resubmitted %d tx", self.name, attempts, resubmitted)
             return report
         self._emit(NodeEvent(RECOVERY_FAILED, time.time()))

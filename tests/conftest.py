@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 from chainyard.dsl import GenesisParams, NetworkConfig, NodeSpec, parse_config
 from chainyard.manager import NetworkManager, NodeDefaults, make_bench_config
+
+# Node processes that the tests launch import chainyard from this source tree too.
+SRC = Path(__file__).resolve().parent.parent / "src"
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
 SAMPLE_DOC = {
     "configurationName": "net",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from chainyard.chain import (
     CostExceedsGasLimit,
     InsufficientBalance,
     TxError,
+    apply_tx,
     audit_chain,
     genesis_block,
     make_transaction,
@@ -322,6 +324,32 @@ def test_audit_flags_corrupted_chain():
     )
     problems = audit_chain(broken, chain.genesis)
     assert problems, "tampered block must fail the audit"
+
+
+def test_forged_tx_id_is_refused_by_submit_receive_and_audit():
+    chain, accounts = build_chain()
+    honest = make_transaction(accounts[0], accounts[1], 10, nonce=0)
+    forged = dataclasses.replace(honest, value=20)  # fields changed after the id was made
+    with pytest.raises(TxError, match="id does not match"):
+        chain.submit_transaction(forged)
+    block = mine_candidate(1, chain.tip.block_hash, accounts[0], (forged,), chain.target_bits, timestamp=1)
+    status, detail = chain.receive_block(block)
+    assert status == "BadTx"
+    assert "id does not match" in detail
+    assert chain.height == 0
+    problems = audit_chain(chain.blocks + [block], chain.genesis)
+    assert any("id does not match" in problem for problem in problems), problems
+
+
+def test_apply_tx_changes_nothing_when_it_fails():
+    balances, nonces = {"a": 5}, {"a": 0}
+    with pytest.raises(InsufficientBalance):
+        apply_tx(balances, nonces, make_transaction("a", "b", 6, nonce=0))
+    with pytest.raises(BadNonce):
+        apply_tx(balances, nonces, make_transaction("a", "b", 1, nonce=1))
+    assert (balances, nonces) == ({"a": 5}, {"a": 0})
+    apply_tx(balances, nonces, make_transaction("a", "b", 5, nonce=0))
+    assert (balances, nonces) == ({"a": 0, "b": 5}, {"a": 1})
 
 
 def test_block_round_trips_through_dict():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import socket
@@ -15,7 +16,7 @@ from chainyard.dsl import GenesisParams, NetworkConfig
 from chainyard.genesis import derive_account, make_genesis, write_genesis
 from chainyard.manager import make_bench_config
 from chainyard.node import GenesisMismatch, NodeRuntime, PortInUse, load_blocks
-from chainyard.protocol import AdminClient, AdminError, AdminTimeout
+from chainyard.protocol import AdminClient, AdminError, AdminTimeout, framed_request
 from conftest import wait_until
 
 TEMPLATE = NetworkConfig(
@@ -326,31 +327,35 @@ def test_shutdown_does_not_wait_out_a_server_poll(tmp_path):
 
 def test_torn_final_block_line_is_truncated_and_the_miner_mines_on(tmp_path, caplog):
     config, _, dirs = deploy(tmp_path, suffix="t")
+    admin = admin_for(config, "miner1")
+    log = dirs["miner1"] / "blocks.log"
     runtime = NodeRuntime(dirs["miner1"])
     runtime.start()
-    admin = admin_for(config, "miner1")
-    wait_until(lambda: admin.block_number() >= 2, message="some blocks")
-    admin.set_mining(False)
-    time.sleep(0.3)  # a block already being mined still lands
-    runtime.shutdown()
-    height = runtime.chain.height
-
-    log = dirs["miner1"] / "blocks.log"
-    intact = log.read_bytes()
-    last = intact.splitlines()[-1]
-    log.write_bytes(intact + last[: len(last) // 2])  # an append cut short by kill -9
-    assert len(load_blocks(dirs["miner1"])) == height + 1
-
-    with caplog.at_level(logging.WARNING, logger="chainyard.node"):
-        restarted = NodeRuntime(dirs["miner1"])
-    assert "torn final line" in caplog.text
-    assert restarted.chain.height == height
-    assert log.read_bytes() == intact
-    restarted.start()
     try:
-        wait_until(lambda: admin.block_number() > height, message="mining on after the truncation")
+        wait_until(lambda: admin.block_number() >= 2, message="some blocks")
+        # Appends cut short by kill -9: half of a line, and a whole line but its newline.
+        for cut, message in (
+            (lambda intact, last: intact + last[: len(last) // 2], "torn final line"),
+            (lambda intact, last: intact[:-1], "missing final newline"),
+        ):
+            admin.set_mining(False)
+            time.sleep(0.3)  # a block already being mined still lands
+            runtime.shutdown()
+            height = runtime.chain.height
+            intact = log.read_bytes()
+            log.write_bytes(cut(intact, intact.splitlines()[-1]))
+            assert len(load_blocks(dirs["miner1"])) == height + 1
+
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="chainyard.node"):
+                runtime = NodeRuntime(dirs["miner1"])
+            assert runtime.chain.height == height
+            assert log.read_bytes() == intact
+            assert message in caplog.text
+            runtime.start()
+            wait_until(lambda: admin.block_number() > height, message="mining on after the repair")
     finally:
-        restarted.shutdown()
+        runtime.shutdown()
     assert len(load_blocks(dirs["miner1"])) > height + 1
 
 
@@ -361,6 +366,20 @@ def test_bad_block_line_before_the_end_is_a_genesis_mismatch(tmp_path):
         NodeRuntime(dirs["miner1"])
     with pytest.raises(GenesisMismatch, match="blocks.log:1"):
         load_blocks(dirs["miner1"])
+
+
+def test_forged_peer_tx_is_rejected_and_the_miner_mines_on(tmp_path, boot):
+    config, _, dirs = deploy(tmp_path, suffix="v")
+    boot(dirs["miner1"])
+    admin = admin_for(config, "miner1")
+    miner = config.miners[0]
+    honest = make_transaction(account_of(config, "miner1"), account_of(config, "prosumer1"), 5, nonce=0)
+    forged = dataclasses.replace(honest, value=6)  # fields changed after the id was made
+    reply = framed_request(miner.host, miner.blockchain_port, {"kind": "new_tx", "tx": forged.to_dict()}, timeout=3.0)
+    assert reply["status"] == "rejected", reply
+    assert admin.pending_count() == 0
+    height = admin.block_number()
+    wait_until(lambda: admin.block_number() >= height + 5, message="mining on after a forged tx")
 
 
 def test_load_blocks_reads_persisted_chain(tmp_path, boot):
