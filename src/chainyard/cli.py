@@ -28,7 +28,7 @@ from .manager import (
     bench,
 )
 from .protocol import AdminError, AdminTimeout, AdminUnreachable
-from .wrapper import LocalNodeLauncher, NodeWrapper, RecoveryFailed
+from .wrapper import NodeWrapper, RecoveryFailed
 
 logger = logging.getLogger(__name__)
 
@@ -240,12 +240,11 @@ def _cmd_run_tes(args) -> int:
         _print_timings(manager.network_create())
     _print_timings([manager.start("miners"), manager.start("clients"), manager.network_connect()])
 
-    launcher = LocalNodeLauncher(python_cmd=manager.python_cmd)
     wrappers: dict[str, NodeWrapper] = {}
     try:
         for client in config.clients:
             wrappers[client.name] = NodeWrapper(
-                manager.node_dir(client.name), poll_period=0.2, launcher=launcher
+                manager.node_dir(client.name), poll_period=0.2, launcher=manager.launcher
             ).attach()
         report = tes.run_day(wrappers, config, args.seed, intervals=args.intervals, fault=fault)
     finally:

@@ -33,6 +33,7 @@ from .chain import DEFAULT_MAX_BLOCK_TXS
 from .dsl import NetworkConfig, NodeSpec, validate
 from .executor import Executor, LocalExecutor
 from .genesis import derive_account, make_genesis, write_genesis
+from .launcher import LaunchFailed, NodeLauncher
 from .node import DEFAULT_BLOCK_INTERVAL
 from .protocol import AdminClient, AdminError, AdminTimeout, AdminUnreachable
 
@@ -110,13 +111,6 @@ class NodeDefaults:
 
 
 START_TIMEOUT = 15.0
-STOP_GRACE = 5.0  # seconds before escalating admin stop to kill -9
-
-
-def _alive_test(pid: int) -> str:
-    """Shell test that holds while pid runs. kill -0 counts zombies as alive; in
-    containers nothing reaps reparented children promptly, so read the state."""
-    return f"s=$(ps -o state= -p {pid} 2>/dev/null) && case $s in *Z*) false ;; esac"
 
 
 class NetworkManager:
@@ -137,6 +131,7 @@ class NetworkManager:
         self.parallel = parallel
         self.node_defaults = node_defaults or NodeDefaults()
         self.python_cmd = python_cmd or sys.executable
+        self.launcher = NodeLauncher(self.executor, self.python_cmd)
 
     # -- workspace layout (derivable purely from config + root) -----------
 
@@ -317,25 +312,19 @@ class NetworkManager:
 
         def start_one(node: NodeSpec) -> None:
             directory = self.node_dir(node.name)
-            quoted = shlex.quote(str(directory))
             if not self._probe(node.host, f"test -f {shlex.quote(str(directory / 'genesis.json'))}"):
                 raise NotCreated(f"node {node.name!r}: not created/distributed (no genesis in {directory})")
             client = self.admin(node, timeout=0.5)
             if client.is_up(timeout=0.5):
                 if not self.force:
                     raise AlreadyRunning(f"node {node.name!r} is already running")
-                self._kill_node(node, self._read_pid(node))
-            command = (
-                f"nohup {shlex.quote(self.python_cmd)} -m chainyard.node --data-dir {quoted} "
-                f">> {shlex.quote(str(directory / 'node.log'))} 2>&1 & echo $! > {shlex.quote(str(directory / 'node.pid'))}"
-            )
-            self._run(node.host, command)
-            deadline = time.monotonic() + START_TIMEOUT
-            while time.monotonic() < deadline:
-                if client.is_up(timeout=0.5):
-                    return
-                time.sleep(0.02)
-            raise ExecutorFailure(node.host, f"node {node.name!r} did not become ready within {START_TIMEOUT}s")
+                self._kill_node(node)
+            try:
+                self.launcher.start(node.host, directory)
+            except LaunchFailed as exc:
+                raise ExecutorFailure(node.host, str(exc)) from exc
+            if not self.launcher.await_ready(client, START_TIMEOUT):
+                raise ExecutorFailure(node.host, f"node {node.name!r} did not become ready within {START_TIMEOUT}s")
 
         return self._timed(phase, lambda: self._each(nodes, start_one))
 
@@ -356,35 +345,17 @@ class NetworkManager:
         return self._timed(Phase.NETWORK_CONNECT, lambda: self._each(self.config.clients, connect_one))
 
     def _read_pid(self, node: NodeSpec) -> int | None:
-        pid_path = self.node_dir(node.name) / "node.pid"
-        result = self.executor.run(node.host, f"cat {shlex.quote(str(pid_path))} 2>/dev/null")
-        try:
-            return int(result.output.strip())
-        except ValueError:
-            return None
+        return self.launcher.read_pid(node.host, self.node_dir(node.name))
 
     def _pid_alive(self, node: NodeSpec, pid: int) -> bool:
-        return self._probe(node.host, _alive_test(pid))
+        return self.launcher.is_alive(node.host, self.node_dir(node.name), pid)
 
-    def _await_gone(self, node: NodeSpec, pid: int) -> bool:
-        """Wait on the host, up to STOP_GRACE, until pid is gone; False if it outlived the wait."""
-        loop = f"while {_alive_test(pid)}; do sleep 0.01; done"
-        return self._probe(node.host, f"timeout {STOP_GRACE:g} sh -c {shlex.quote(loop)}")
-
-    def _kill_node(self, node: NodeSpec, pid: int | None) -> None:
-        if pid is not None and self._pid_alive(node, pid):
-            self.executor.run(node.host, f"kill -9 {pid} 2>/dev/null")
-            self._await_gone(node, pid)
+    def _kill_node(self, node: NodeSpec) -> None:
+        self.launcher.kill(node.host, self.node_dir(node.name), self._read_pid(node))
 
     def _stop_one(self, node: NodeSpec, pid: int | None) -> None:
         started = time.perf_counter()
-        try:
-            self.admin(node, timeout=2.0).stop()
-        except (AdminError, AdminTimeout, AdminUnreachable):
-            pass
-        escalated = pid is not None and not self._await_gone(node, pid)
-        if escalated:
-            self._kill_node(node, pid)
+        escalated = self.launcher.stop(node.host, self.admin(node), self.node_dir(node.name), pid)
         # The stop anomaly reported at larger network sizes makes per-node
         # latencies worth keeping around for later investigation.
         logger.info(
@@ -413,7 +384,7 @@ class NetworkManager:
         def body() -> None:
             for node in self.config.all_nodes():
                 if self.force:
-                    self._kill_node(node, self._read_pid(node))
+                    self._kill_node(node)
                 self._run(node.host, f"rm -rf {shlex.quote(str(self.node_dir(node.name)))}")
             self._run("localhost", f"rm -rf {shlex.quote(str(self.config_dir()))}")
 

@@ -18,10 +18,7 @@ import base64
 import json
 import logging
 import os
-import signal
 import socketserver
-import subprocess
-import sys
 import threading
 import time
 import uuid
@@ -33,6 +30,7 @@ from typing import Callable, Iterable
 from .canonical import sha256_hex
 from .chain import DEFAULT_TX_COST, Transaction, make_transaction
 from .genesis import read_genesis
+from .launcher import NodeLauncher
 from .node import NodeIdentity, NodePaths
 from .protocol import (
     AdminClient,
@@ -205,49 +203,7 @@ class OffchainReceipt:
     attempts: int
 
 
-class LocalNodeLauncher:
-    """Starts and kills node processes on this machine."""
-
-    def __init__(self, python_cmd: str | None = None):
-        self.python_cmd = python_cmd or sys.executable
-        self._procs: list[subprocess.Popen] = []
-
-    def start(self, data_dir: Path) -> int:
-        log_path = data_dir / "node.log"
-        with log_path.open("a") as log_handle:
-            proc = subprocess.Popen(
-                [self.python_cmd, "-m", "chainyard.node", "--data-dir", str(data_dir)],
-                stdout=log_handle,
-                stderr=subprocess.STDOUT,
-                start_new_session=True,
-            )
-        self._procs.append(proc)
-        return proc.pid
-
-    def is_alive(self, pid: int) -> bool:
-        for proc in self._procs:
-            if proc.pid == pid:
-                return proc.poll() is None
-        # Not our child: consult /proc directly; zombies count as dead.
-        try:
-            stat = Path(f"/proc/{pid}/stat").read_text()
-            state = stat.rsplit(")", 1)[1].split()[0]
-            return state != "Z"
-        except (OSError, IndexError):
-            return False
-
-    def kill(self, pid: int) -> None:
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        for proc in self._procs:
-            if proc.pid == pid:
-                proc.wait(timeout=5)
-
-    def reap(self) -> None:
-        for proc in self._procs:
-            proc.poll()
+LocalNodeLauncher = NodeLauncher  # the name callers outside src/ use for a wrapper's default launcher
 
 
 class NodeWrapper:
@@ -268,10 +224,10 @@ class NodeWrapper:
         max_restarts: int = 5,
         backoff_base: float = 0.2,
         ready_timeout: float = 8.0,
-        launcher: LocalNodeLauncher | None = None,
+        launcher: NodeLauncher | None = None,
         offchain_retries: int = 2,
     ):
-        self.paths = NodePaths(Path(data_dir))
+        self.paths = NodePaths(Path(data_dir).resolve())  # the launcher matches the node by it
         self.identity = NodeIdentity.load(self.paths.node_json)
         self.expected_genesis_hash = read_genesis(self.paths.genesis).genesis_hash
         self.account = self.identity.account
@@ -285,7 +241,7 @@ class NodeWrapper:
         self.max_restarts = max_restarts
         self.backoff_base = backoff_base
         self.ready_timeout = ready_timeout
-        self.launcher = launcher or LocalNodeLauncher()
+        self.launcher = launcher or NodeLauncher()
         self.offchain_retries = offchain_retries
 
         self.recovery_count = 0
@@ -566,17 +522,17 @@ class NodeWrapper:
             return self._recover_inner()
 
     def _recover_inner(self) -> RecoveryReport:
-        self._stop_node_process()
+        host, root = self.identity.host, self.paths.root
+        self.launcher.stop(host, self.admin, root, self.launcher.read_pid(host, root))
         attempts = 0
         while attempts < self.max_restarts and not self._stopping.is_set():
             attempts += 1
             if attempts > 1:
                 time.sleep(self.backoff_base * (2 ** (attempts - 2)))
-            pid = self.launcher.start(self.paths.root)
-            if not self._await_ready(deadline=self.ready_timeout):
+            pid = self.launcher.start(host, root)
+            if not self.launcher.await_ready(self.admin, self.ready_timeout):
                 logger.warning("%s: restart attempt %d did not become ready", self.name, attempts)
-                if self.launcher.is_alive(pid):
-                    self.launcher.kill(pid)
+                self.launcher.kill(host, root, pid)
                 continue
             try:
                 status = self.admin.status()
@@ -598,38 +554,6 @@ class NodeWrapper:
             return report
         self._emit(NodeEvent(RECOVERY_FAILED, time.time()))
         raise RecoveryFailed(f"{self.name}: node refused to restart after {attempts} attempts")
-
-    def _stop_node_process(self) -> None:
-        pid = self._read_pid()
-        try:
-            self.admin.stop(timeout=1.0)
-        except (AdminError, AdminTimeout, AdminUnreachable):
-            pass
-        if pid is None:
-            return
-        deadline = time.monotonic() + 3.0
-        while self.launcher.is_alive(pid):
-            if time.monotonic() > deadline:
-                self.launcher.kill(pid)
-                break
-            time.sleep(0.02)
-        deadline = time.monotonic() + 3.0
-        while self.launcher.is_alive(pid) and time.monotonic() < deadline:
-            time.sleep(0.02)
-
-    def _read_pid(self) -> int | None:
-        try:
-            return int(self.paths.pid.read_text(encoding="utf-8").strip())
-        except (OSError, ValueError):
-            return None
-
-    def _await_ready(self, deadline: float) -> bool:
-        limit = time.monotonic() + deadline
-        while time.monotonic() < limit:
-            if self.admin.is_up(timeout=0.3):
-                return True
-            time.sleep(0.05)
-        return False
 
     def _resubmit_pending(self) -> int:
         count = 0

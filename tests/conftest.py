@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import subprocess
 import time
 from pathlib import Path
 
@@ -150,8 +151,11 @@ def live_network(tmp_path, request):
 
     yield launch
 
+    leaked = []
     for manager in managers:
         cleanup = NetworkManager(manager.config, manager.workspace, force=True, node_defaults=manager.node_defaults)
+        nodes = manager.config.all_nodes()
+        pids = {node.name: cleanup._read_pid(node) for node in nodes}
         try:
             cleanup.network_stop()
         except Exception:
@@ -160,3 +164,25 @@ def live_network(tmp_path, request):
             cleanup.network_delete()
         except Exception:
             pass
+        for node in nodes:
+            pid = pids[node.name]
+            if pid is not None and cleanup._pid_alive(node, pid):
+                leaked.append(f"{node.name} (pid {pid})")
+                cleanup.launcher.kill(node.host, cleanup.node_dir(node.name), pid)
+    if leaked:
+        pytest.fail(f"nodes still running after cleanup: {', '.join(leaked)}")
+
+
+def process_running(pid: int) -> bool:
+    """Whether any process that is not a zombie holds pid, whatever it runs."""
+    state = subprocess.run(["ps", "-o", "state=", "-p", str(pid)], capture_output=True, text=True).stdout.strip()
+    return bool(state) and not state.startswith("Z")
+
+
+@pytest.fixture
+def foreign_process():
+    """A live process that is no node: what a stale node.pid may point at once its pid is reused."""
+    proc = subprocess.Popen(["sleep", "60"])
+    yield proc
+    proc.kill()
+    proc.wait(timeout=5)

@@ -24,7 +24,7 @@ from chainyard.manager import (
     make_bench_config,
 )
 from chainyard.protocol import AdminClient
-from conftest import BENCH_TEMPLATE
+from conftest import BENCH_TEMPLATE, process_running
 
 
 def quick_manager(tmp_path, prosumers=1, suffix="m", **kwargs):
@@ -276,7 +276,19 @@ def test_network_stop_lets_every_node_exit_without_escalation(live_network, capl
     assert not any("escalated to kill" in line for line in stops)
     for node in config.all_nodes():
         assert not manager._pid_alive(node, pids[node.name])
+        assert not process_running(pids[node.name])  # nor any other process under that pid
         assert not pid_files[node.name].exists()  # removed by the node itself on a graceful exit
+
+
+def test_a_stale_pid_of_another_process_is_not_this_node(tmp_path, foreign_process):
+    manager, config = quick_manager(tmp_path, suffix="c16")
+    manager.network_create()  # created, never started
+    for node in config.all_nodes():
+        (manager.node_dir(node.name) / "node.pid").write_text(str(foreign_process.pid))
+    with pytest.raises(NotRunning):
+        manager.network_stop()
+    manager.network_delete()  # nothing of this network runs
+    assert foreign_process.poll() is None
 
 
 def test_parallel_create_and_start(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 
@@ -23,7 +24,7 @@ from chainyard.wrapper import (
     PeerUnreachable,
     RecoveryFailed,
 )
-from conftest import wait_until
+from conftest import process_running, wait_until
 
 
 @pytest.fixture
@@ -261,6 +262,33 @@ def test_manual_recover_resubmits_pending(wrapped):
     )
 
 
+def test_recover_leaves_a_process_holding_a_stale_pid_alone(live_network, foreign_process):
+    manager, config = live_network(prosumers=1, block_interval=0.1)
+    manager.network_stop()
+    wrapper = NodeWrapper(manager.node_dir("prosumer1"), auto_recover=False)
+    wrapper.paths.pid.write_text(str(foreign_process.pid))
+    report = wrapper.recover()
+    assert report.restarted
+    assert wrapper.admin.is_up()
+    assert foreign_process.poll() is None
+
+
+def test_node_restarted_by_its_wrapper_is_stopped_by_the_manager(wrapped, caplog):
+    manager, config, wrappers = wrapped(auto_recover=False, block_interval=0.1)
+    wrapper = wrappers["prosumer1"]
+    old_pid = int(wrapper.paths.pid.read_text())
+    wrapper.admin.set_fault("stall_mempool")
+    wrapper.recover()
+    pids = {node.name: int((manager.node_dir(node.name) / "node.pid").read_text()) for node in config.all_nodes()}
+    assert pids["prosumer1"] != old_pid
+    with caplog.at_level(logging.INFO, logger="chainyard.manager"):
+        manager.network_stop()
+    stops = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stop ")]
+    assert len(stops) == len(pids)
+    assert not any("escalated to kill" in line for line in stops)
+    assert not [pid for pid in pids.values() if process_running(pid)]
+
+
 def test_offchain_delivery_and_dedup(wrapped):
     _, config, wrappers = wrapped()
     sender, receiver = wrappers["prosumer1"], wrappers["dso1"]
@@ -306,6 +334,8 @@ def test_submit_with_privacy_commits_digest_only(wrapped, payload):
     assert got[0]["txId"] == tx_id
 
     wait_until(lambda: sender.admin.get_transaction(tx_id)["status"] == "mined", message="commitment mined")
+    # The miner relays each block to its peers one after another, so the receiver may see it after the sender.
+    wait_until(lambda: receiver.admin.get_transaction(tx_id)["status"] == "mined", message="commitment reached receiver")
     on_chain = receiver.admin.get_transaction(tx_id)["tx"]
     assert on_chain["payloadHash"] == sha256_hex(payload)
     assert "payload" not in on_chain  # only the 32-byte digest travels on-chain
