@@ -26,6 +26,7 @@ from .manager import (
     PhaseTiming,
     ValidationFailed,
     bench,
+    raw_csv,
 )
 from .protocol import AdminError, AdminTimeout, AdminUnreachable
 from .wrapper import NodeWrapper, RecoveryFailed
@@ -121,10 +122,9 @@ def _print_timings(timings: list[PhaseTiming]) -> None:
         print(f"{timing.phase:<22} {timing.duration:9.4f}s  ({timing.node_count} nodes)")
 
 
-def _write_timings_csv(timings: list[PhaseTiming], path: str) -> None:
-    lines = ["phase,node_count,rep,duration_seconds"]
-    lines += [f"{t.phase},{t.node_count},0,{t.duration:.6f}" for t in timings]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _print_findings(findings: list[tes.AuditFinding]) -> None:
+    for finding in findings:
+        print(f"interval {finding.interval:>2}: {'pass' if finding.ok else 'FAIL'} ({finding.reason})")
 
 
 def _write_json(payload, path: str) -> None:
@@ -174,7 +174,7 @@ def _cmd_lifecycle(args) -> int:
     timings = _LIFECYCLE[args.command](_manager(args, config))
     _print_timings(timings)
     if args.csv:
-        _write_timings_csv(timings, args.csv)
+        Path(args.csv).write_text(raw_csv((t.phase, t.node_count, 0, t.duration) for t in timings), encoding="utf-8")
     if args.json_out:
         _write_json([t.__dict__ for t in timings], args.json_out)
     return EXIT_OK
@@ -262,8 +262,7 @@ def _cmd_run_tes(args) -> int:
     blocks = node.load_blocks(manager.node_dir(config.miners[0].name))
     findings = tes.audit_report(report, blocks)
     failed = [f for f in findings if not f.ok]
-    for finding in findings:
-        print(f"interval {finding.interval:>2}: {'pass' if finding.ok else 'FAIL'} ({finding.reason})")
+    _print_findings(findings)
     bad_intervals = [o for o in report["outcomes"] if o["status"] != "ok"]
     if failed or bad_intervals:
         print(f"trading day completed with {len(bad_intervals)} failed interval(s), {len(failed)} audit failure(s)")
@@ -280,8 +279,7 @@ def _cmd_audit(args) -> int:
     dsl.node_lookup(config, node_name)
     blocks = node.load_blocks(manager.node_dir(node_name))
     findings = tes.audit_report(report, blocks)
-    for finding in findings:
-        print(f"interval {finding.interval:>2}: {'pass' if finding.ok else 'FAIL'} ({finding.reason})")
+    _print_findings(findings)
     if args.json_out:
         _write_json([finding.__dict__ for finding in findings], args.json_out)
     return EXIT_OK if all(f.ok for f in findings) else EXIT_EXECUTION

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .canonical import canonical_json, sha256_hex
 from .dsl import NetworkConfig, validate
 
 ACCOUNT_DOMAIN_PREFIX = b"testnet-account-v1:"
+GENESIS_FILE = "genesis.json"  # its name in the workspace and in every node directory
 
 
 class InvalidConfig(ValueError):
@@ -55,6 +56,10 @@ class GenesisDocument:
             "alloc": dict(sorted(self.allocations.items())),
         }
 
+    def content_hash(self) -> str:
+        """The digest genesisHash must equal: SHA-256 of the canonical body."""
+        return sha256_hex(canonical_json(self.body()))
+
     def to_file_bytes(self) -> bytes:
         doc = self.body()
         doc["genesisHash"] = self.genesis_hash
@@ -74,19 +79,14 @@ def make_genesis(config: NetworkConfig) -> GenesisDocument:
         derive_account(config.configuration_name, node.name): config.genesis.balance
         for node in config.all_nodes()
     }
-    body = {
-        "chainId": config.genesis.chain_id,
-        "difficulty": config.genesis.difficulty,
-        "gasLimit": config.genesis.gas_limit,
-        "alloc": dict(sorted(allocations.items())),
-    }
-    return GenesisDocument(
+    doc = GenesisDocument(
         chain_id=config.genesis.chain_id,
         difficulty=config.genesis.difficulty,
         gas_limit=config.genesis.gas_limit,
         allocations=allocations,
-        genesis_hash=sha256_hex(canonical_json(body)),
+        genesis_hash="",
     )
+    return replace(doc, genesis_hash=doc.content_hash())
 
 
 def write_genesis(doc: GenesisDocument, path: str | Path) -> None:
@@ -107,21 +107,16 @@ def read_genesis(path: str | Path) -> GenesisDocument:
     alloc = parsed["alloc"]
     if not isinstance(alloc, dict) or not all(isinstance(v, int) for v in alloc.values()):
         raise GenesisFormatError(f"{path}: alloc must map accounts to integer balances")
-    body = {
-        "chainId": parsed["chainId"],
-        "difficulty": parsed["difficulty"],
-        "gasLimit": parsed["gasLimit"],
-        "alloc": dict(sorted(alloc.items())),
-    }
-    recomputed = sha256_hex(canonical_json(body))
-    if recomputed != parsed["genesisHash"]:
-        raise HashMismatch(
-            f"{path}: content digest {recomputed} does not match embedded genesisHash {parsed['genesisHash']}"
-        )
-    return GenesisDocument(
+    doc = GenesisDocument(
         chain_id=parsed["chainId"],
         difficulty=parsed["difficulty"],
         gas_limit=parsed["gasLimit"],
         allocations=dict(alloc),
         genesis_hash=parsed["genesisHash"],
     )
+    recomputed = doc.content_hash()
+    if recomputed != doc.genesis_hash:
+        raise HashMismatch(
+            f"{path}: content digest {recomputed} does not match embedded genesisHash {doc.genesis_hash}"
+        )
+    return doc

@@ -32,9 +32,9 @@ from typing import Callable, Iterable, Sequence
 from .chain import DEFAULT_MAX_BLOCK_TXS
 from .dsl import NetworkConfig, NodeSpec, validate
 from .executor import Executor, LocalExecutor
-from .genesis import derive_account, make_genesis, write_genesis
+from .genesis import GENESIS_FILE, derive_account, make_genesis, write_genesis
 from .launcher import LaunchFailed, NodeLauncher
-from .node import DEFAULT_BLOCK_INTERVAL
+from .node import DEFAULT_BLOCK_INTERVAL, NodeIdentity, NodePaths, meta_document
 from .protocol import AdminClient, AdminError, AdminTimeout, AdminUnreachable
 
 logger = logging.getLogger(__name__)
@@ -145,11 +145,26 @@ class NetworkManager:
         return path
 
     def genesis_path(self) -> Path:
-        return self.config_dir() / "genesis.json"
+        return self.config_dir() / GENESIS_FILE
 
     @property
     def node_count(self) -> int:
         return len(self.config.all_nodes())
+
+    def node_identity(self, node: NodeSpec) -> NodeIdentity:
+        """What the node's node.json holds: its DSL entry, its account and the runtime knobs."""
+        return NodeIdentity(
+            configuration_name=self.config.configuration_name,
+            name=node.name,
+            role=node.role,
+            host=node.host,
+            blockchain_port=node.blockchain_port,
+            admin_port=node.admin_port,
+            wrapper_port=node.wrapper_port,
+            account=derive_account(self.config.configuration_name, node.name),
+            block_interval=self.node_defaults.block_interval,
+            max_block_txs=self.node_defaults.max_block_txs,
+        )
 
     def ensure_valid(self) -> None:
         report = validate(self.config)
@@ -206,19 +221,7 @@ class NetworkManager:
                 raise AlreadyExists(f"node {node.name!r}: {directory} already exists (use force to recreate)")
             self._run(node.host, f"rm -rf {quoted}")
         self._run(node.host, f"mkdir -p {quoted}")
-        identity = {
-            "configurationName": self.config.configuration_name,
-            "name": node.name,
-            "role": node.role,
-            "host": node.host,
-            "blockchainPort": node.blockchain_port,
-            "adminPort": node.admin_port,
-            "wrapperPort": node.wrapper_port,
-            "account": derive_account(self.config.configuration_name, node.name),
-            "blockIntervalSeconds": self.node_defaults.block_interval,
-            "maxBlockTxs": self.node_defaults.max_block_txs,
-        }
-        self._put_json(node.host, identity, directory / "node.json")
+        self._put_json(node.host, self.node_identity(node).dump(), NodePaths(directory).node_json)
 
     def clients_create(self) -> PhaseTiming:
         self.ensure_valid()
@@ -241,7 +244,10 @@ class NetworkManager:
         return self._timed(Phase.BLOCKCHAIN_MAKE, body)
 
     def blockchain_create(self) -> PhaseTiming:
-        """Initialize the miner-side canonical chain stores from the genesis document."""
+        """Initialize the miner-side canonical chain stores from the genesis document.
+
+        A miner starts without a mempool journal, as a client does: the node writes it on its first run.
+        """
         if not self.genesis_path().exists():
             raise MissingGenesis(f"{self.genesis_path()} missing: run blockchain-make first")
         genesis_hash = json.loads(self.genesis_path().read_text(encoding="utf-8"))["genesisHash"]
@@ -250,14 +256,14 @@ class NetworkManager:
             directory = self.node_dir(node.name)
             if not self._probe(node.host, f"test -d {shlex.quote(str(directory))}"):
                 raise NotCreated(f"miner {node.name!r}: {directory} missing (run miners-create first)")
-            blocks = directory / "blocks.log"
-            if self._probe(node.host, f"test -e {shlex.quote(str(blocks))}"):
+            paths = NodePaths(directory)
+            blocks = shlex.quote(str(paths.blocks))
+            if self._probe(node.host, f"test -e {blocks}"):
                 if not self.force:
                     raise AlreadyExists(f"miner {node.name!r}: chain store already initialized")
-                self._run(node.host, f"rm -f {shlex.quote(str(blocks))}")
-            self._run(node.host, f"touch {shlex.quote(str(blocks))}")
-            self._put_json(node.host, {"genesisHash": genesis_hash}, directory / "meta.json")
-            self._put_json(node.host, {"transactions": []}, directory / "mempool.json")
+                self._run(node.host, f"rm -f {blocks} {shlex.quote(str(paths.mempool))}")
+            self._run(node.host, f"touch {blocks}")
+            self._put_json(node.host, meta_document(genesis_hash), paths.meta)
 
         return self._timed(Phase.BLOCKCHAIN_CREATE, lambda: self._each(self.config.miners, init_one))
 
@@ -272,7 +278,7 @@ class NetworkManager:
             directory = self.node_dir(node.name)
             if not self._probe(node.host, f"test -d {shlex.quote(str(directory))}"):
                 raise NotCreated(f"node {node.name!r}: {directory} missing (create it first)")
-            destination = directory / "genesis.json"
+            destination = NodePaths(directory).genesis
             self.executor.put_file(node.host, self.genesis_path(), destination)
             output = self._run(node.host, f"sha256sum {shlex.quote(str(destination))}")
             copied_digest = output.split()[0] if output.split() else ""
@@ -312,7 +318,7 @@ class NetworkManager:
 
         def start_one(node: NodeSpec) -> None:
             directory = self.node_dir(node.name)
-            if not self._probe(node.host, f"test -f {shlex.quote(str(directory / 'genesis.json'))}"):
+            if not self._probe(node.host, f"test -f {shlex.quote(str(NodePaths(directory).genesis))}"):
                 raise NotCreated(f"node {node.name!r}: not created/distributed (no genesis in {directory})")
             client = self.admin(node, timeout=0.5)
             if client.is_up(timeout=0.5):
@@ -412,6 +418,13 @@ class BenchRow:
     duration: float
 
 
+def raw_csv(rows: Iterable[tuple[str, int, int, float]]) -> str:
+    """The raw timings CSV of ``--csv``: one (phase, node_count, rep, duration) row per phase per repetition."""
+    lines = ["phase,node_count,rep,duration_seconds"]
+    lines += [f"{phase},{node_count},{rep},{duration:.6f}" for phase, node_count, rep, duration in rows]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class BenchResult:
     prosumer_counts: list[int]
@@ -458,10 +471,7 @@ class BenchResult:
         return out
 
     def to_raw_csv(self) -> str:
-        lines = ["phase,node_count,rep,duration_seconds"]
-        for row in self.rows:
-            lines.append(f"{row.phase},{row.node_count},{row.rep},{row.duration:.6f}")
-        return "\n".join(lines) + "\n"
+        return raw_csv((row.phase, row.node_count, row.rep, row.duration) for row in self.rows)
 
     def to_summary_csv(self) -> str:
         """Benchmark-table layout: one row per phase, avg/stddev per prosumer count."""

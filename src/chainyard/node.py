@@ -6,7 +6,7 @@ A node runs from a data directory prepared by the manager:
     genesis.json   canonical genesis document (hash-verified on load)
     meta.json      genesis hash stamped at first init (mismatch detection)
     blocks.log     append-only canonical-JSON block per line
-    mempool.json   pending transaction journal
+    mempool.json   pending transaction journal, written from the node's first run on
     peers.json     known peer endpoints, re-joined on restart
     node.pid       pid of the running process
 
@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import chain as chainmod
 from .chain import Block, Chain, Transaction
-from .genesis import GenesisDocument, read_genesis
+from .genesis import GENESIS_FILE, GenesisDocument, read_genesis
 from .protocol import Server, framed_request, recv_framed, send_framed
 
 logger = logging.getLogger(__name__)
@@ -64,7 +64,7 @@ class NodePaths:
 
     @property
     def genesis(self) -> Path:
-        return self.root / "genesis.json"
+        return self.root / GENESIS_FILE
 
     @property
     def meta(self) -> Path:
@@ -139,6 +139,17 @@ class NodeIdentity:
         }
 
 
+def meta_document(genesis_hash: str) -> dict:
+    """The content of ``meta.json``: the genesis hash a data directory was initialized with."""
+    return {"genesisHash": genesis_hash}
+
+
+def _write_json_atomic(path: Path, payload) -> None:
+    tmp = path.with_suffix(".tmp")
+    tmp.write_text(json.dumps(payload), encoding="utf-8")
+    tmp.replace(path)
+
+
 def _read_block_log(path: Path) -> tuple[list[Block], int]:
     """The blocks in a ``blocks.log`` and the byte length of its complete part.
 
@@ -193,7 +204,6 @@ class NodeRuntime:
         self._blocks_handle = None
         self._outbox: list[tuple[tuple[str, int] | None, dict]] = []
         self._outbox_cond = threading.Condition()
-        self._threads: list[threading.Thread] = []
         self._admin_server: Server | None = None
         self._peer_server: Server | None = None
 
@@ -213,9 +223,8 @@ class NodeRuntime:
                     f"got {self.genesis_doc.genesis_hash}"
                 )
         else:
-            self.paths.meta.write_text(
-                json.dumps({"genesisHash": self.genesis_doc.genesis_hash}) + "\n", encoding="utf-8"
-            )
+            meta = meta_document(self.genesis_doc.genesis_hash)
+            self.paths.meta.write_text(json.dumps(meta) + "\n", encoding="utf-8")
 
     def _replay(self) -> None:
         if not self.paths.blocks.exists():
@@ -264,15 +273,10 @@ class NodeRuntime:
         self._blocks_handle.flush()
 
     def _persist_mempool(self) -> None:
-        payload = {"transactions": [tx.to_dict() for tx in self.chain.mempool.values()]}
-        tmp = self.paths.mempool.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload), encoding="utf-8")
-        tmp.replace(self.paths.mempool)
+        _write_json_atomic(self.paths.mempool, {"transactions": [tx.to_dict() for tx in self.chain.mempool.values()]})
 
     def _persist_peers(self) -> None:
-        tmp = self.paths.peers.with_suffix(".tmp")
-        tmp.write_text(json.dumps(sorted([h, p] for h, p in self.peers)), encoding="utf-8")
-        tmp.replace(self.paths.peers)
+        _write_json_atomic(self.paths.peers, sorted([h, p] for h, p in self.peers))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -287,16 +291,10 @@ class NodeRuntime:
             raise PortInUse(f"{self.identity.name}: {exc}") from exc
         self._admin_server.start()
         self._peer_server.start()
-        worker = threading.Thread(target=self._broadcast_loop, daemon=True)
-        worker.start()
-        self._threads.append(worker)
+        threading.Thread(target=self._broadcast_loop, daemon=True).start()
         if self.identity.role == "miner":
-            miner = threading.Thread(target=self._mine_loop, daemon=True)
-            miner.start()
-            self._threads.append(miner)
-        greeter = threading.Thread(target=self._greet_known_peers, daemon=True)
-        greeter.start()
-        self._threads.append(greeter)
+            threading.Thread(target=self._mine_loop, daemon=True).start()
+        threading.Thread(target=self._greet_known_peers, daemon=True).start()
         logger.info(
             "%s (%s) up: admin=%s:%d chain=%s:%d height=%d",
             self.identity.name,

@@ -24,7 +24,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from queue import Empty, Queue
+from queue import Queue
 from typing import Callable, Iterable
 
 from .canonical import sha256_hex
@@ -121,7 +121,8 @@ class TxJournal:
                 record = json.loads(line)
                 self._fold(record)
 
-    def _fold(self, record: dict) -> None:
+    def _fold(self, record: dict) -> JournalEntry | None:
+        """Apply one record to the entries, on load and live alike; the entry it names, if any."""
         kind = record.get("event")
         tx_id = record.get("txId")
         if kind == "submitted" and tx_id not in self.entries:
@@ -136,52 +137,44 @@ class TxJournal:
                 entry.status = "pending"
             elif kind == "failed":
                 entry.status = "failed"
+        return self.entries.get(tx_id)
 
-    def _append(self, record: dict) -> None:
+    def _record(self, record: dict) -> JournalEntry:
+        """Append a record (write-ahead), then apply it as a replay of the file would."""
         with self.path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
+        return self._fold(record)
 
     def record_submitted(self, tx: Transaction, submit_height: int) -> bool:
         """Journal a transaction before it goes to the node. False if already present."""
         with self._lock:
             if tx.tx_id in self.entries:
                 return False
-            now = time.time()
-            entry = JournalEntry(tx=tx.to_dict(), submitted_at=now, submit_height=submit_height)
-            self.entries[tx.tx_id] = entry
-            self._append({"event": "submitted", "txId": tx.tx_id, "tx": tx.to_dict(), "at": now})
+            entry = self._record({"event": "submitted", "txId": tx.tx_id, "tx": tx.to_dict(), "at": time.time()})
+            entry.submit_height = submit_height
             return True
 
     def mark_mined(self, tx_id: str, height: int) -> None:
         with self._lock:
             entry = self.entries.get(tx_id)
-            if entry is None or entry.status == "mined":
-                return
-            entry.status = "mined"
-            entry.mined_height = height
-            self._append({"event": "mined", "txId": tx_id, "height": height, "at": time.time()})
+            if entry is not None and entry.status != "mined":
+                self._record({"event": "mined", "txId": tx_id, "height": height, "at": time.time()})
 
     def mark_resubmitted(self, tx_id: str, submit_height: int) -> None:
         with self._lock:
-            entry = self.entries.get(tx_id)
-            if entry is None:
+            if tx_id not in self.entries:
                 return
-            entry.resubmissions += 1
-            entry.status = "pending"
+            entry = self._record({"event": "resubmitted", "txId": tx_id, "at": time.time()})
             entry.submit_height = submit_height
             entry.blocks_waited = 0
             entry.stall_reported = False
-            self._append({"event": "resubmitted", "txId": tx_id, "at": time.time()})
 
     def mark_failed(self, tx_id: str, error: str) -> None:
         with self._lock:
-            entry = self.entries.get(tx_id)
-            if entry is None:
-                return
-            entry.status = "failed"
-            self._append({"event": "failed", "txId": tx_id, "error": error, "at": time.time()})
+            if tx_id in self.entries:
+                self._record({"event": "failed", "txId": tx_id, "error": error, "at": time.time()})
 
     def pending(self) -> list[tuple[str, JournalEntry]]:
         with self._lock:
@@ -213,36 +206,31 @@ class NodeWrapper:
     wrapper port) the off-chain listener; close() tears both down.
     """
 
+    admin_timeout = 0.4  # seconds per admin request
+    stall_threshold = 3  # new blocks a pending tx may wait before it counts as stalled
+    unresponsive_threshold = 3  # consecutive admin timeouts before the node counts as unresponsive
+    max_restarts = 5  # restart attempts per recovery
+    backoff_base = 0.2  # seconds before the second restart attempt, doubling after it
+    ready_timeout = 8.0  # seconds a restarted node has to answer its admin port
+    offchain_retries = 2  # retries of an off-chain send after its first attempt
+
     def __init__(
         self,
         data_dir: str | Path,
         poll_period: float = 0.5,
-        admin_timeout: float = 0.4,
-        stall_threshold: int = 3,
-        unresponsive_threshold: int = 3,
         auto_recover: bool = True,
-        max_restarts: int = 5,
-        backoff_base: float = 0.2,
-        ready_timeout: float = 8.0,
         launcher: NodeLauncher | None = None,
-        offchain_retries: int = 2,
     ):
         self.paths = NodePaths(Path(data_dir).resolve())  # the launcher matches the node by it
         self.identity = NodeIdentity.load(self.paths.node_json)
         self.expected_genesis_hash = read_genesis(self.paths.genesis).genesis_hash
         self.account = self.identity.account
         self.name = self.identity.name
-        self.admin = AdminClient(self.identity.host, self.identity.admin_port, timeout=admin_timeout)
+        self.admin = AdminClient(self.identity.host, self.identity.admin_port, timeout=self.admin_timeout)
         self.journal = TxJournal(self.paths.wrapper_journal)
         self.poll_period = poll_period
-        self.stall_threshold = stall_threshold
-        self.unresponsive_threshold = unresponsive_threshold
         self.auto_recover = auto_recover
-        self.max_restarts = max_restarts
-        self.backoff_base = backoff_base
-        self.ready_timeout = ready_timeout
         self.launcher = launcher or NodeLauncher()
-        self.offchain_retries = offchain_retries
 
         self.recovery_count = 0
 
@@ -256,7 +244,6 @@ class NodeWrapper:
         self._last_height: int | None = None
         self._consecutive_timeouts = 0
         self._unresponsive_reported = False
-        self._threads: list[threading.Thread] = []
         self._offchain_server: Server | None = None
         self._offchain_handlers: list[Callable[[dict], None]] = []
         self._seen_msg_ids: set[str] = set()
@@ -274,11 +261,8 @@ class NodeWrapper:
             except OSError as exc:
                 raise BindFailure(f"{self.name}: cannot bind wrapper port {self.identity.wrapper_port}: {exc}") from exc
             self._offchain_server.start()
-        dispatcher = threading.Thread(target=self._dispatch_loop, daemon=True)
-        dispatcher.start()
-        monitor = threading.Thread(target=self._monitor_loop, daemon=True)
-        monitor.start()
-        self._threads.extend([dispatcher, monitor])
+        threading.Thread(target=self._dispatch_loop, daemon=True).start()
+        threading.Thread(target=self._monitor_loop, daemon=True).start()
         self._attached = True
         try:
             status = self.admin.status()
@@ -333,15 +317,7 @@ class NodeWrapper:
         self._events.put(event)
 
     def _dispatch_loop(self) -> None:
-        while True:
-            try:
-                event = self._events.get(timeout=0.5)
-            except Empty:
-                if self._stopping.is_set():
-                    return
-                continue
-            if event is None:
-                return
+        while (event := self._events.get()) is not None:  # close() enqueues the None
             if self.auto_recover and event.kind in (TX_STALLED, NODE_UNRESPONSIVE):
                 self._schedule_recovery(event)
             with self._subs_lock:
@@ -420,6 +396,11 @@ class NodeWrapper:
 
     # -- transactions ------------------------------------------------------------------
 
+    def _await_recovery(self) -> None:
+        """Wait until a recovery in progress, if any, has finished. Recovery never takes _submit_lock."""
+        with self._recover_lock:
+            pass
+
     def submit(
         self,
         recipient: str,
@@ -428,6 +409,7 @@ class NodeWrapper:
         cost: int = DEFAULT_TX_COST,
     ) -> str:
         """Build, journal (write-ahead), and submit a transaction from this node's account."""
+        self._await_recovery()
         with self._submit_lock:
             nonce = self.admin.get_nonce(self.account)
             tx = make_transaction(self.account, recipient, value, nonce, cost, payload_hash)
@@ -435,6 +417,7 @@ class NodeWrapper:
 
     def submit_transaction(self, tx: Transaction) -> str:
         """Submit a caller-built transaction; duplicate tx ids collapse to one journal entry."""
+        self._await_recovery()
         with self._submit_lock:
             return self._journal_and_send(tx)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainyard.dsl import parse_config
+from chainyard.manager import make_bench_config
 from chainyard.genesis import (
     GenesisFormatError,
     HashMismatch,
@@ -17,7 +18,7 @@ from chainyard.genesis import (
     read_genesis,
     write_genesis,
 )
-from conftest import random_valid_config, sample_doc
+from conftest import BENCH_TEMPLATE, random_valid_config, sample_doc
 
 # Computed once with an independent sha256 implementation (coreutils
 # sha256sum over the exact domain-separated byte string) and frozen.
@@ -68,6 +69,12 @@ def test_make_genesis_deterministic(sample_config):
     second = make_genesis(sample_config)
     assert first.genesis_hash == second.genesis_hash
     assert first.to_file_bytes() == second.to_file_bytes()
+
+
+def test_genesis_hash_golden_value():
+    # Genesis hashes are a stable interface: frozen from an earlier release, they must not move.
+    doc = make_genesis(make_bench_config(BENCH_TEMPLATE, 2, suffix="golden"))
+    assert doc.genesis_hash == "c4921ada0d35beb45de57bf2293fe8fab0523e30c17006c5d8f4fdb77ad9c9a5"
 
 
 def test_make_genesis_refuses_invalid_config():

@@ -23,6 +23,7 @@ from chainyard.manager import (
     bench,
     make_bench_config,
 )
+from chainyard.node import NodeIdentity, NodePaths
 from chainyard.protocol import AdminClient
 from conftest import BENCH_TEMPLATE, process_running
 
@@ -135,6 +136,26 @@ def test_blockchain_create_initializes_miner_store(tmp_path):
     assert meta["genesisHash"] == json.loads(manager.genesis_path().read_text())["genesisHash"]
     with pytest.raises(AlreadyExists):
         manager.blockchain_create()
+
+
+def test_node_json_round_trips_the_identity_the_manager_built(tmp_path):
+    manager, config = quick_manager(tmp_path, prosumers=2, suffix="c7b")
+    manager.clients_create()
+    for client in config.clients:
+        paths = NodePaths(manager.node_dir(client.name))
+        assert NodeIdentity.load(paths.node_json) == manager.node_identity(client)
+
+
+def test_blockchain_create_leaves_the_miner_without_a_mempool_journal(tmp_path):
+    manager, config = quick_manager(tmp_path, suffix="c7c", force=True)
+    manager.miners_create()
+    manager.blockchain_make()
+    manager.blockchain_create()
+    mempool = NodePaths(manager.node_dir(config.miners[0].name)).mempool
+    assert not mempool.exists()  # the node reads a missing journal as empty and writes it on its first run
+    mempool.write_text('{"transactions": [{"txId": "stale"}]}')
+    manager.blockchain_create()  # a forced re-init of the chain store drops the old journal with it
+    assert not mempool.exists()
 
 
 def test_distribute_verifies_digest(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from chainyard.tes import (
     stable_report_view,
     write_report,
 )
-from chainyard.wrapper import NodeWrapper
+from chainyard.wrapper import NODE_UNRESPONSIVE, NodeEvent, NodeWrapper
 from conftest import BENCH_TEMPLATE
 
 
@@ -321,6 +323,19 @@ def test_run_day_records_an_unreachable_node_as_a_failed_interval(day_network):
     report = run_day(wrappers, config, seed=42, intervals=3)
     assert [o["status"] for o in report["outcomes"]] == ["ok", "failed", "ok"]
     assert "node restarting" in report["outcomes"][1]["error"]
+
+
+def test_run_day_waits_for_a_recovery_in_progress(day_network):
+    manager, config, wrappers = day_network(prosumers=2)
+    dso = wrappers["dso1"]
+    dso._schedule_recovery(NodeEvent(NODE_UNRESPONSIVE, time.time()))  # dso1's node restarts as the day begins
+    report = run_day(wrappers, config, seed=42, intervals=2)
+    assert [o["status"] for o in report["outcomes"]] == ["ok", "ok"]
+    assert dso.recovery_count == 1
+
+    manager.network_stop()
+    blocks = load_blocks(manager.node_dir(config.miners[0].name))
+    assert all(f.ok for f in audit_report(report, blocks))
 
 
 def test_stable_report_view_strips_timestamps():

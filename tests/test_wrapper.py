@@ -23,6 +23,7 @@ from chainyard.wrapper import (
     NodeWrapper,
     PeerUnreachable,
     RecoveryFailed,
+    TxJournal,
 )
 from conftest import process_running, wait_until
 
@@ -148,6 +149,41 @@ def test_journal_is_write_ahead(wrapped):
     assert entry.status == "pending"
     journal_lines = wrapper.paths.wrapper_journal.read_text().splitlines()
     assert any(json.loads(line)["txId"] == tx.tx_id for line in journal_lines)
+
+
+def test_journal_replay_matches_the_live_entries(tmp_path, monkeypatch):
+    monkeypatch.setattr(time, "time", lambda: 1.5)  # the journal stamps every record with time.time()
+    path = tmp_path / "wrapper-journal.log"
+    live = TxJournal(path)
+    resubmitted = make_transaction("a" * 64, "b" * 64, 5, nonce=0)
+    failed = make_transaction("a" * 64, "b" * 64, 6, nonce=1)
+    assert live.record_submitted(resubmitted, submit_height=2)
+    assert not live.record_submitted(resubmitted, submit_height=3)  # a duplicate writes nothing
+    live.mark_resubmitted(resubmitted.tx_id, submit_height=4)
+    live.mark_mined(resubmitted.tx_id, 7)
+    live.mark_mined(resubmitted.tx_id, 8)  # already mined: writes nothing
+    assert live.record_submitted(failed, submit_height=2)
+    live.mark_failed(failed.tx_id, "InsufficientBalance")
+    live.mark_resubmitted("f" * 64, submit_height=4)  # unknown ids write nothing
+
+    def view(journal):
+        return {tx_id: (e.status, e.resubmissions, e.mined_height) for tx_id, e in journal.entries.items()}
+
+    assert view(live) == {resubmitted.tx_id: ("mined", 1, 7), failed.tx_id: ("failed", 0, None)}
+    assert view(TxJournal(path)) == view(live)
+    assert live.entries[resubmitted.tx_id].submit_height == 4  # runtime-only, set by the live path
+    lines = path.read_text().splitlines()
+    assert lines[0] == json.dumps(
+        {"at": 1.5, "event": "submitted", "tx": resubmitted.to_dict(), "txId": resubmitted.tx_id},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    assert lines[1:3] == [
+        f'{{"at":1.5,"event":"resubmitted","txId":"{resubmitted.tx_id}"}}',
+        f'{{"at":1.5,"event":"mined","height":7,"txId":"{resubmitted.tx_id}"}}',
+    ]
+    assert lines[4] == f'{{"at":1.5,"error":"InsufficientBalance","event":"failed","txId":"{failed.tx_id}"}}'
+    assert len(lines) == 5
 
 
 def test_duplicate_submit_single_journal_entry(wrapped):
