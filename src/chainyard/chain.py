@@ -354,15 +354,10 @@ class Chain:
         timestamp: int,
         max_txs: int = DEFAULT_MAX_BLOCK_TXS,
         include_txs: bool = True,
-        should_abort: Callable[[], bool] | None = None,
-    ) -> Block | None:
+    ) -> Block:
         """Assemble, mine, and append the next block (single-threaded use)."""
         txs = self.assemble_candidate(max_txs) if include_txs else ()
-        block = mine_candidate(
-            self.height + 1, self.tip.block_hash, miner, txs, self.target_bits, timestamp, should_abort
-        )
-        if block is None:
-            return None
+        block = mine_candidate(self.height + 1, self.tip.block_hash, miner, txs, self.target_bits, timestamp)
         status, detail = self.receive_block(block)
         if status != "accepted":
             raise RuntimeError(f"freshly mined block rejected: {status} {detail}")

@@ -25,8 +25,6 @@ class ExecResult:
 
 
 class Executor:
-    kind = "abstract"
-
     def run(self, host: str, command: str) -> ExecResult:
         raise NotImplementedError
 
@@ -36,8 +34,6 @@ class Executor:
 
 class LocalExecutor(Executor):
     """Runs every command on localhost, whatever the host field says."""
-
-    kind = "local"
 
     def run(self, host: str, command: str) -> ExecResult:
         proc = subprocess.run(
@@ -60,8 +56,6 @@ class SshExecutor(Executor):
     Assumes key-based auth is already set up for the configured hosts,
     matching how multi-host deployments are driven in practice.
     """
-
-    kind = "ssh"
 
     def __init__(self, user: str | None = None, ssh_options: tuple[str, ...] = ("-oBatchMode=yes",)):
         self.user = user

@@ -48,6 +48,22 @@ class GenesisDocument:
     allocations: dict[str, int]  # account hex -> starting balance
     genesis_hash: str
 
+    @classmethod
+    def from_config(cls, config: NetworkConfig) -> "GenesisDocument":
+        """Build the genesis document of a config that has passed validation: one allocation per node."""
+        allocations = {
+            derive_account(config.configuration_name, node.name): config.genesis.balance
+            for node in config.all_nodes()
+        }
+        doc = cls(
+            chain_id=config.genesis.chain_id,
+            difficulty=config.genesis.difficulty,
+            gas_limit=config.genesis.gas_limit,
+            allocations=allocations,
+            genesis_hash="",
+        )
+        return replace(doc, genesis_hash=doc.content_hash())
+
     def body(self) -> dict:
         return {
             "chainId": self.chain_id,
@@ -70,23 +86,12 @@ class GenesisDocument:
 
 
 def make_genesis(config: NetworkConfig) -> GenesisDocument:
-    """Build the genesis document: one allocation per client and per miner."""
+    """Validate the config, then build its genesis document: one allocation per client and per miner."""
     report = validate(config)
     if not report.ok:
         codes = ", ".join(issue.code for issue in report.errors)
         raise InvalidConfig(f"config {config.configuration_name!r} has validation errors: {codes}")
-    allocations = {
-        derive_account(config.configuration_name, node.name): config.genesis.balance
-        for node in config.all_nodes()
-    }
-    doc = GenesisDocument(
-        chain_id=config.genesis.chain_id,
-        difficulty=config.genesis.difficulty,
-        gas_limit=config.genesis.gas_limit,
-        allocations=allocations,
-        genesis_hash="",
-    )
-    return replace(doc, genesis_hash=doc.content_hash())
+    return GenesisDocument.from_config(config)
 
 
 def write_genesis(doc: GenesisDocument, path: str | Path) -> None:

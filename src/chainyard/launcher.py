@@ -54,12 +54,15 @@ class NodeLauncher:
             time.sleep(0.02)
         return False
 
-    def read_pid(self, host: str, data_dir: Path) -> int | None:
-        result = self.executor.run(host, f"cat {shlex.quote(str(NodePaths(data_dir).pid))} 2>/dev/null")
-        try:
-            return int(result.output.strip())
-        except ValueError:
-            return None
+    def running_pid(self, host: str, data_dir: Path) -> int | None:
+        """The pid in node.pid if it is this node's live process, else None: one host command."""
+        pid_file = shlex.quote(str(NodePaths(data_dir).pid))
+        result = self.executor.run(
+            host,
+            f'pid=$(cat {pid_file} 2>/dev/null) && case $pid in ""|*[!0-9]*) false ;; esac && '
+            f'{_alive_test(data_dir, "$pid")} && echo $pid',
+        )
+        return int(result.output.split()[-1]) if result.status == 0 else None  # echo $pid prints last
 
     def is_alive(self, host: str, data_dir: Path, pid: int) -> bool:
         return self.executor.run(host, _alive_test(data_dir, pid)).status == 0
@@ -90,8 +93,8 @@ class NodeLauncher:
         """Nothing to reap: nodes start detached, not as children of this process."""
 
 
-def _alive_test(data_dir: Path, pid: int) -> str:
-    """Shell test that holds while pid is the node process of data_dir.
+def _alive_test(data_dir: Path, pid: int | str) -> str:
+    """Shell test that holds while pid (a number, or a shell variable holding one) is the node process of data_dir.
 
     Read the state, as kill -0 counts zombies as alive and in containers nothing reaps reparented children
     promptly; and read the args, as the pid in a stale node.pid may since belong to any other process.

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 from .chain import DEFAULT_MAX_BLOCK_TXS
 from .dsl import NetworkConfig, NodeSpec, validate
 from .executor import Executor, LocalExecutor
-from .genesis import GENESIS_FILE, derive_account, make_genesis, write_genesis
+from .genesis import GENESIS_FILE, GenesisDocument, derive_account, write_genesis
 from .launcher import LaunchFailed, NodeLauncher
 from .node import DEFAULT_BLOCK_INTERVAL, NodeIdentity, NodePaths, meta_document
 from .protocol import AdminClient, AdminError, AdminTimeout, AdminUnreachable
@@ -236,7 +236,7 @@ class NetworkManager:
         self.ensure_valid()
 
         def body() -> None:
-            doc = make_genesis(self.config)
+            doc = GenesisDocument.from_config(self.config)  # ensure_valid has validated it
             self.config_dir().mkdir(parents=True, exist_ok=True)
             write_genesis(doc, self.genesis_path())
             logger.info("genesis written: hash=%s", doc.genesis_hash)
@@ -350,14 +350,11 @@ class NetworkManager:
 
         return self._timed(Phase.NETWORK_CONNECT, lambda: self._each(self.config.clients, connect_one))
 
-    def _read_pid(self, node: NodeSpec) -> int | None:
-        return self.launcher.read_pid(node.host, self.node_dir(node.name))
-
-    def _pid_alive(self, node: NodeSpec, pid: int) -> bool:
-        return self.launcher.is_alive(node.host, self.node_dir(node.name), pid)
+    def _running_pid(self, node: NodeSpec) -> int | None:
+        return self.launcher.running_pid(node.host, self.node_dir(node.name))
 
     def _kill_node(self, node: NodeSpec) -> None:
-        self.launcher.kill(node.host, self.node_dir(node.name), self._read_pid(node))
+        self.launcher.kill(node.host, self.node_dir(node.name), self._running_pid(node))
 
     def _stop_one(self, node: NodeSpec, pid: int | None) -> None:
         started = time.perf_counter()
@@ -369,21 +366,19 @@ class NetworkManager:
         )
 
     def network_stop(self) -> PhaseTiming:
-        pids = {node.name: self._read_pid(node) for node in self.config.all_nodes()}
+        pids = {node.name: self._running_pid(node) for node in self.config.all_nodes()}
         running = [n for n in self.config.all_nodes() if self._node_running(n, pids[n.name])]
         if not running:
             raise NotRunning("no nodes of this network are running")
         return self._timed(Phase.NETWORK_STOP, lambda: self._each(running, lambda n: self._stop_one(n, pids[n.name])))
 
     def _node_running(self, node: NodeSpec, pid: int | None) -> bool:
-        if pid is not None and self._pid_alive(node, pid):
-            return True
-        return self.admin(node).is_up(timeout=0.3)
+        return pid is not None or self.admin(node).is_up(timeout=0.3)
 
     def network_delete(self) -> PhaseTiming:
         if not self.config_dir().exists():
             raise NotCreated(f"{self.config_dir()} does not exist")
-        alive = [n.name for n in self.config.all_nodes() if self._node_running(n, self._read_pid(n))]
+        alive = [n.name for n in self.config.all_nodes() if self._node_running(n, self._running_pid(n))]
         if alive and not self.force:
             raise ManagerError(f"refusing to delete while nodes run: {', '.join(sorted(alive))} (stop first)")
 

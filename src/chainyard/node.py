@@ -31,6 +31,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from queue import SimpleQueue
 
 from . import chain as chainmod
 from .chain import Block, Chain, Transaction
@@ -202,8 +203,7 @@ class NodeRuntime:
         self.stop_event = threading.Event()
 
         self._blocks_handle = None
-        self._outbox: list[tuple[tuple[str, int] | None, dict]] = []
-        self._outbox_cond = threading.Condition()
+        self._outbox: SimpleQueue[tuple[tuple[str, int] | None, dict] | None] = SimpleQueue()  # None ends gossip
         self._admin_server: Server | None = None
         self._peer_server: Server | None = None
 
@@ -309,8 +309,7 @@ class NodeRuntime:
     def shutdown(self) -> None:
         logger.info("%s: shutting down", self.identity.name)
         self.stop_event.set()
-        with self._outbox_cond:
-            self._outbox_cond.notify_all()
+        self._outbox.put(None)
         for server in (self._admin_server, self._peer_server):
             if server is not None:
                 server.stop()
@@ -403,18 +402,11 @@ class NodeRuntime:
     # -- gossip ----------------------------------------------------------------
 
     def _enqueue(self, exclude: tuple[str, int] | None, message: dict) -> None:
-        with self._outbox_cond:
-            self._outbox.append((exclude, message))
-            self._outbox_cond.notify()
+        self._outbox.put((exclude, message))
 
     def _broadcast_loop(self) -> None:
-        while True:
-            with self._outbox_cond:
-                while not self._outbox and not self.stop_event.is_set():
-                    self._outbox_cond.wait(0.2)
-                if self.stop_event.is_set() and not self._outbox:
-                    return
-                exclude, message = self._outbox.pop(0)
+        while (item := self._outbox.get()) is not None:  # shutdown() enqueues the None
+            exclude, message = item
             with self._lock:
                 targets = sorted(self.peers)
             for target in targets:

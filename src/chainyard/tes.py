@@ -224,11 +224,13 @@ class IntervalOutcome:
 
 
 class _DsoInbox:
-    """Collects prosumer orders arriving on the DSO wrapper's off-chain channel."""
+    """Collects prosumer orders arriving on the DSO wrapper's off-chain channel.
+
+    The wrapper runs this handler before it acks a message, so an order is here once its send_offchain returned.
+    """
 
     def __init__(self):
         self._orders: dict[tuple[int, str], Order] = {}
-        self._cond = threading.Condition()
 
     def __call__(self, message: dict) -> None:
         if message.get("kind") != "tes_order":
@@ -238,23 +240,13 @@ class _DsoInbox:
         except (ValueError, KeyError):
             logger.warning("dso inbox: discarding malformed order message")
             return
-        with self._cond:
-            self._orders[(order.interval, order.actor)] = order
-            self._cond.notify_all()
+        self._orders[(order.interval, order.actor)] = order
 
-    def wait_for(self, interval: int, actors: set[str], deadline: float) -> list[Order]:
-        limit = time.monotonic() + deadline
-        with self._cond:
-            while True:
-                have = {actor for (iv, actor) in self._orders if iv == interval}
-                if actors <= have:
-                    break
-                remaining = limit - time.monotonic()
-                if remaining <= 0:
-                    missing = ", ".join(sorted(actors - have))
-                    raise TesError(f"interval {interval}: orders missing from {missing}")
-                self._cond.wait(remaining)
-            return [self._orders[(interval, actor)] for actor in sorted(actors)]
+    def orders_for(self, interval: int, actors: set[str]) -> list[Order]:
+        missing = sorted(actor for actor in actors if (interval, actor) not in self._orders)
+        if missing:
+            raise TesError(f"interval {interval}: orders missing from {', '.join(missing)}")
+        return [self._orders[(interval, actor)] for actor in sorted(actors)]
 
 
 def run_day(
@@ -262,9 +254,7 @@ def run_day(
     config: NetworkConfig,
     seed: int,
     intervals: int = DEFAULT_INTERVALS,
-    tariff: Tariff = DEFAULT_TARIFF,
     fault: tuple[int, str, str] | None = None,
-    order_deadline: float = 30.0,
     mine_deadline: float = 90.0,
 ) -> dict:
     """Drive a full trading day over a running, connected network.
@@ -305,8 +295,6 @@ def run_day(
                 endpoints,
                 dso_spec,
                 prosumer_specs,
-                tariff,
-                order_deadline,
                 mine_deadline,
                 chain_digest,
             )
@@ -321,7 +309,7 @@ def run_day(
         "configurationName": config.configuration_name,
         "seed": seed,
         "intervals": intervals,
-        "tariff": {"buyPrice": tariff.buy_price, "sellPrice": tariff.sell_price},
+        "tariff": {"buyPrice": DEFAULT_TARIFF.buy_price, "sellPrice": DEFAULT_TARIFF.sell_price},
         "outcomes": [o.to_dict() for o in outcomes],
         "finalChainDigest": chain_digest,
         "startedAt": started_at,
@@ -339,8 +327,6 @@ def _run_interval(
     endpoints: dict[str, tuple[str, int]],
     dso_spec: NodeSpec,
     prosumer_specs: list[NodeSpec],
-    tariff: Tariff,
-    order_deadline: float,
     mine_deadline: float,
     prev_chain_digest: str,
 ) -> IntervalOutcome:
@@ -365,12 +351,8 @@ def _run_interval(
         raise TesError(f"interval {interval}: order delivery failed: {errors[0]}")
 
     actors = {order.actor for order in orders}
-    received = inbox.wait_for(interval, actors, order_deadline)
-    result = clear_market(
-        [o for o in received if o.side == "offer"],
-        [o for o in received if o.side == "bid"],
-        tariff,
-    )
+    received = inbox.orders_for(interval, actors)
+    result = clear_market([o for o in received if o.side == "offer"], [o for o in received if o.side == "bid"])
     payload = canonical_json(result.to_dict())
     digest = result.digest()
 
@@ -390,11 +372,13 @@ def _run_interval(
         )
     for buyer_name, quantity in result.dso_sales:
         settlement_tx_ids.append(
-            wrappers[buyer_name].submit(accounts[dso_spec.name], quantity * tariff.buy_price, cost=SETTLEMENT_COST)
+            wrappers[buyer_name].submit(
+                accounts[dso_spec.name], quantity * DEFAULT_TARIFF.buy_price, cost=SETTLEMENT_COST
+            )
         )
     for seller_name, quantity in result.dso_purchases:
         settlement_tx_ids.append(
-            dso.submit(accounts[seller_name], quantity * tariff.sell_price, cost=SETTLEMENT_COST)
+            dso.submit(accounts[seller_name], quantity * DEFAULT_TARIFF.sell_price, cost=SETTLEMENT_COST)
         )
 
     _await_mined(dso.admin, [commit_tx_id, *settlement_tx_ids], mine_deadline, interval)

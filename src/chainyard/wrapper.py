@@ -79,7 +79,7 @@ class NodeEvent:
 @dataclass
 class Subscription:
     sub_id: str
-    matches: Callable[[str], bool]
+    kinds: frozenset[str]
     callback: Callable[[NodeEvent], None]
 
 
@@ -92,7 +92,6 @@ class JournalEntry:
     mined_height: int | None = None
     # runtime-only stall bookkeeping
     submit_height: int = 0
-    blocks_waited: int = 0
     stall_reported: bool = False
 
     def describe(self) -> str:
@@ -168,7 +167,6 @@ class TxJournal:
                 return
             entry = self._record({"event": "resubmitted", "txId": tx_id, "at": time.time()})
             entry.submit_height = submit_height
-            entry.blocks_waited = 0
             entry.stall_reported = False
 
     def mark_failed(self, tx_id: str, error: str) -> None:
@@ -243,7 +241,6 @@ class NodeWrapper:
         self._attached = False
         self._last_height: int | None = None
         self._consecutive_timeouts = 0
-        self._unresponsive_reported = False
         self._offchain_server: Server | None = None
         self._offchain_handlers: list[Callable[[dict], None]] = []
         self._seen_msg_ids: set[str] = set()
@@ -288,23 +285,9 @@ class NodeWrapper:
 
     # -- observer ---------------------------------------------------------------
 
-    def subscribe(
-        self,
-        event_filter: Callable[[str], bool] | Iterable[str] | str | None,
-        callback: Callable[[NodeEvent], None],
-    ) -> Subscription:
-        """Register a callback for matching events. Subscriptions never expire."""
-        if event_filter is None:
-            matches: Callable[[str], bool] = lambda _kind: True
-        elif callable(event_filter):
-            matches = event_filter
-        elif isinstance(event_filter, str):
-            wanted = {event_filter}
-            matches = lambda kind: kind in wanted
-        else:
-            wanted = set(event_filter)
-            matches = lambda kind: kind in wanted
-        sub = Subscription(uuid.uuid4().hex, matches, callback)
+    def subscribe(self, kinds: str | Iterable[str], callback: Callable[[NodeEvent], None]) -> Subscription:
+        """Register a callback for events of one kind, or of any of several kinds. Subscriptions never expire."""
+        sub = Subscription(uuid.uuid4().hex, frozenset([kinds] if isinstance(kinds, str) else kinds), callback)
         with self._subs_lock:
             self._subs.append(sub)
         return sub
@@ -323,7 +306,7 @@ class NodeWrapper:
             with self._subs_lock:
                 subs = list(self._subs)
             for sub in subs:
-                if not sub.matches(event.kind):
+                if event.kind not in sub.kinds:
                     continue
                 started = time.monotonic()
                 try:
@@ -350,32 +333,25 @@ class NodeWrapper:
                 self._stopping.wait(remaining)
 
     def _poll_once(self) -> None:
+        """One status call; on a new height, the new-block events and then one query per pending tx."""
         try:
             status = self.admin.status()
         except (AdminTimeout, AdminUnreachable):
             self._consecutive_timeouts += 1
-            if self._consecutive_timeouts >= self.unresponsive_threshold and not self._unresponsive_reported:
-                self._unresponsive_reported = True
-                self._emit(
-                    NodeEvent(
-                        NODE_UNRESPONSIVE,
-                        time.time(),
-                        consecutive_timeouts=self._consecutive_timeouts,
-                    )
-                )
+            if self._consecutive_timeouts == self.unresponsive_threshold:
+                self._emit(NodeEvent(NODE_UNRESPONSIVE, time.time(), consecutive_timeouts=self._consecutive_timeouts))
             return
         self._consecutive_timeouts = 0
-        self._unresponsive_reported = False
-        height = status["height"]
-        if self._last_height is None:
-            self._last_height = height
-            return
-        for observed in range(self._last_height + 1, height + 1):
-            self._emit(NodeEvent(NEW_BLOCK, time.time(), height=observed))
-            self._check_pending(observed)
+        height, last = status["height"], self._last_height
         self._last_height = height
+        if last is None or height <= last:
+            return
+        for observed in range(last + 1, height + 1):
+            self._emit(NodeEvent(NEW_BLOCK, time.time(), height=observed))
+        self._check_pending(height)
 
-    def _check_pending(self, observed_height: int) -> None:
+    def _check_pending(self, height: int) -> None:
+        """A pending tx is stalled once height - submit_height reaches stall_threshold; it is reported once."""
         for tx_id, entry in self.journal.pending():
             try:
                 info = self.admin.get_transaction(tx_id)
@@ -384,15 +360,9 @@ class NodeWrapper:
             if info["status"] == "mined":
                 self.journal.mark_mined(tx_id, info["height"])
                 self._emit(NodeEvent(TX_MINED, time.time(), tx_id=tx_id, height=info["height"]))
-                continue
-            if observed_height <= entry.submit_height:
-                continue
-            entry.blocks_waited += 1
-            if entry.blocks_waited == self.stall_threshold and not entry.stall_reported:
+            elif height - entry.submit_height >= self.stall_threshold and not entry.stall_reported:
                 entry.stall_reported = True
-                self._emit(
-                    NodeEvent(TX_STALLED, time.time(), tx_id=tx_id, blocks_waited=entry.blocks_waited)
-                )
+                self._emit(NodeEvent(TX_STALLED, time.time(), tx_id=tx_id, blocks_waited=self.stall_threshold))
 
     # -- transactions ------------------------------------------------------------------
 
@@ -506,7 +476,7 @@ class NodeWrapper:
 
     def _recover_inner(self) -> RecoveryReport:
         host, root = self.identity.host, self.paths.root
-        self.launcher.stop(host, self.admin, root, self.launcher.read_pid(host, root))
+        self.launcher.stop(host, self.admin, root, self.launcher.running_pid(host, root))
         attempts = 0
         while attempts < self.max_restarts and not self._stopping.is_set():
             attempts += 1
@@ -529,7 +499,6 @@ class NodeWrapper:
                 )
             resubmitted = self._resubmit_pending()
             self._consecutive_timeouts = 0
-            self._unresponsive_reported = False
             self._last_height = status["height"]
             report = RecoveryReport(restarted=True, resubmitted=resubmitted, attempts=attempts)
             self.recovery_count += 1

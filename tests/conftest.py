@@ -155,7 +155,7 @@ def live_network(tmp_path, request):
     for manager in managers:
         cleanup = NetworkManager(manager.config, manager.workspace, force=True, node_defaults=manager.node_defaults)
         nodes = manager.config.all_nodes()
-        pids = {node.name: cleanup._read_pid(node) for node in nodes}
+        pids = {node.name: cleanup.launcher.running_pid(node.host, cleanup.node_dir(node.name)) for node in nodes}
         try:
             cleanup.network_stop()
         except Exception:
@@ -166,7 +166,7 @@ def live_network(tmp_path, request):
             pass
         for node in nodes:
             pid = pids[node.name]
-            if pid is not None and cleanup._pid_alive(node, pid):
+            if pid is not None and cleanup.launcher.is_alive(node.host, cleanup.node_dir(node.name), pid):
                 leaked.append(f"{node.name} (pid {pid})")
                 cleanup.launcher.kill(node.host, cleanup.node_dir(node.name), pid)
     if leaked:

@@ -8,6 +8,8 @@ import pytest
 
 from chainyard.dsl import NetworkConfig
 from chainyard.executor import ExecResult, LocalExecutor, SshExecutor
+from chainyard.genesis import make_genesis, read_genesis
+from chainyard.launcher import NodeLauncher
 from chainyard.manager import (
     AlreadyExists,
     DistributeHashMismatch,
@@ -296,7 +298,7 @@ def test_network_stop_lets_every_node_exit_without_escalation(live_network, capl
     assert len(stops) == 3
     assert not any("escalated to kill" in line for line in stops)
     for node in config.all_nodes():
-        assert not manager._pid_alive(node, pids[node.name])
+        assert not manager.launcher.is_alive(node.host, manager.node_dir(node.name), pids[node.name])
         assert not process_running(pids[node.name])  # nor any other process under that pid
         assert not pid_files[node.name].exists()  # removed by the node itself on a graceful exit
 
@@ -310,6 +312,34 @@ def test_a_stale_pid_of_another_process_is_not_this_node(tmp_path, foreign_proce
         manager.network_stop()
     manager.network_delete()  # nothing of this network runs
     assert foreign_process.poll() is None
+
+
+def test_running_pid_is_the_live_node_of_the_directory_or_none(live_network, foreign_process, tmp_path):
+    manager, config = live_network(prosumers=1, connect=False)
+    miner = config.miners[0]
+    directory = manager.node_dir(miner.name)
+    pid = int(NodePaths(directory).pid.read_text())
+    launcher = NodeLauncher()
+    assert launcher.running_pid(miner.host, directory) == pid
+
+    other = (tmp_path / "other").resolve()
+    other.mkdir()
+    assert launcher.running_pid(miner.host, other) is None  # no node.pid
+    for content in ("garbage", f"{pid} {pid}", str(foreign_process.pid), str(pid)):
+        NodePaths(other).pid.write_text(content)
+        assert launcher.running_pid(miner.host, other) is None, content  # the last is another directory's node
+
+
+def test_blockchain_make_does_not_validate_a_second_time(tmp_path, monkeypatch):
+    manager, config = quick_manager(tmp_path, suffix="c17")
+    expected = make_genesis(config).genesis_hash
+
+    def refuse(_config):
+        raise AssertionError("the genesis builder validated a config that ensure_valid had already validated")
+
+    monkeypatch.setattr("chainyard.genesis.validate", refuse)
+    manager.blockchain_make()
+    assert read_genesis(manager.genesis_path()).genesis_hash == expected
 
 
 def test_parallel_create_and_start(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainyard.canonical import canonical_json
 from chainyard.chain import Chain, make_transaction
 from chainyard.genesis import derive_account, make_genesis
 from chainyard.manager import make_bench_config
@@ -14,6 +15,8 @@ from chainyard.protocol import AdminUnreachable
 from chainyard.tes import (
     Order,
     Tariff,
+    TesError,
+    _DsoInbox,
     audit_report,
     clear_market,
     generate_day,
@@ -162,7 +165,18 @@ def test_generate_day_interval_override():
     assert sorted(book) == [0, 1, 2]
 
 
-# -- audit (unit level, no network) ---------------------------------------------
+def test_dso_inbox_names_a_missing_order_without_waiting():
+    inbox = _DsoInbox()
+    order = Order("prosumer1", 0, "offer", 3, 10)
+    inbox({"kind": "tes_order", "payload": canonical_json(order.to_dict())})
+    started = time.monotonic()
+    with pytest.raises(TesError, match="orders missing from prosumer2$"):
+        inbox.orders_for(0, {"prosumer1", "prosumer2"})
+    assert time.monotonic() - started < 0.1
+    assert inbox.orders_for(0, {"prosumer1"}) == [order]
+
+
+# -- audit (unit level, no network)---------------------------------------------
 
 
 def fabricate_committed_report(tmp_name="fab"):

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import logging
+import queue
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -11,8 +13,8 @@ from chainyard.canonical import sha256_hex
 from chainyard.chain import make_transaction
 from chainyard.dsl import GenesisParams, NetworkConfig
 from chainyard.genesis import make_genesis, write_genesis
-from chainyard.manager import make_bench_config
-from chainyard.protocol import AdminClient, AdminError
+from chainyard.manager import NetworkManager, NodeDefaults, make_bench_config
+from chainyard.protocol import AdminClient, AdminError, AdminTimeout
 from chainyard.wrapper import (
     NEW_BLOCK,
     NODE_UNRESPONSIVE,
@@ -25,7 +27,7 @@ from chainyard.wrapper import (
     RecoveryFailed,
     TxJournal,
 )
-from conftest import process_running, wait_until
+from conftest import BENCH_TEMPLATE, process_running, wait_until
 
 
 @pytest.fixture
@@ -283,6 +285,68 @@ def test_two_stall_triggers_in_one_poll_restart_the_node_once(wrapped, monkeypat
         thread.join(timeout=30)
         assert not thread.is_alive()
     assert wrapper.recovery_count == 1
+
+
+class CountingAdmin:
+    """An admin client with no socket: it reports a set height, every tx as pending, and counts its calls."""
+
+    def __init__(self, height: int):
+        self.height = height
+        self.down = False
+        self.calls: Counter[str] = Counter()
+
+    def status(self) -> dict:
+        self.calls["status"] += 1
+        if self.down:
+            raise AdminTimeout("node is down")
+        return {"height": self.height}
+
+    def get_transaction(self, tx_id: str) -> dict:
+        self.calls["get_transaction"] += 1
+        return {"status": "pending", "txId": tx_id}
+
+
+def drain(events: queue.Queue) -> list[NodeEvent]:
+    drained = []
+    while not events.empty():
+        drained.append(events.get_nowait())
+    return drained
+
+
+def test_a_poll_queries_each_pending_tx_once_and_reports_each_trigger_once(tmp_path):
+    config = make_bench_config(BENCH_TEMPLATE, 1, suffix="poll")
+    manager = NetworkManager(config, tmp_path / "ws", node_defaults=NodeDefaults(block_interval=0.1))
+    manager.network_create()  # created, never started: no socket is opened
+    wrapper = NodeWrapper(manager.node_dir("prosumer1"), auto_recover=False)
+    wrapper.admin = admin = CountingAdmin(height=5)
+    wrapper._poll_once()  # the first poll only learns the height
+    for nonce in range(2):
+        wrapper.journal.record_submitted(make_transaction(wrapper.account, "ab" * 32, 1, nonce), submit_height=5)
+    admin.calls.clear()
+
+    admin.height = 8
+    wrapper._poll_once()
+    assert admin.calls == {"status": 1, "get_transaction": 2}
+    events = drain(wrapper._events)
+    assert [(e.kind, e.height) for e in events[:3]] == [(NEW_BLOCK, 6), (NEW_BLOCK, 7), (NEW_BLOCK, 8)]
+    assert [(e.kind, e.blocks_waited) for e in events[3:]] == [(TX_STALLED, 3), (TX_STALLED, 3)]
+    assert {e.tx_id for e in events[3:]} == set(wrapper.journal.entries)
+
+    admin.height = 9
+    wrapper._poll_once()  # still pending, but each stall is reported once
+    assert [e.kind for e in drain(wrapper._events)] == [NEW_BLOCK]
+
+    admin.down = True
+    for _ in range(5):
+        wrapper._poll_once()
+    unresponsive = drain(wrapper._events)
+    assert [(e.kind, e.consecutive_timeouts) for e in unresponsive] == [(NODE_UNRESPONSIVE, 3)]
+    admin.down = False
+    wrapper._poll_once()
+    admin.down = True
+    for _ in range(3):
+        wrapper._poll_once()
+    assert [e.kind for e in drain(wrapper._events)] == [NODE_UNRESPONSIVE]
 
 
 def test_manual_recover_resubmits_pending(wrapped):
