@@ -62,40 +62,25 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="netmgr", description="Manage private blockchain test networks")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    for name, help_text in [
-        ("validate", "parse and consistency-check a network definition"),
-        ("clients-create", "create client data directories"),
-        ("miners-create", "create miner data directories"),
-        ("blockchain-make", "produce the genesis document from the DSL"),
-        ("blockchain-create", "initialize miner-side chain stores"),
-        ("distribute-clients", "copy the genesis file to every client"),
-        ("distribute-miners", "copy the genesis file to every miner"),
-        ("create", "run all creation phases in order"),
-        ("start-miners", "launch miner node processes"),
-        ("start-clients", "launch client node processes"),
-        ("connect", "connect every client to every miner (star)"),
-        ("stop", "stop all nodes (graceful, then kill)"),
-        ("delete", "remove all per-node directories"),
-    ]:
-        _add_common(sub.add_parser(name, help=help_text))
+    for name, (help_text, run) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        _add_common(command)
+        command.set_defaults(run=run)
 
-    bench_parser = sub.add_parser("bench", help="measure lifecycle phases across network sizes")
-    _add_common(bench_parser)
+    bench_parser = sub.choices["bench"]
     bench_parser.add_argument("--counts", default="2,5,10,20", help="comma-separated prosumer counts")
     bench_parser.add_argument("--reps", type=int, default=5, help="repetitions per count")
     bench_parser.add_argument("--summary", help="write mean/stddev summary CSV (one row per phase)")
     bench_parser.add_argument("--no-warmup", action="store_true", help="skip the untimed warmup repetition")
 
-    tes_parser = sub.add_parser("run-tes", help="run a simulated trading day on the network")
-    _add_common(tes_parser)
+    tes_parser = sub.choices["run-tes"]
     tes_parser.add_argument("--seed", type=int, required=True)
     tes_parser.add_argument("--intervals", type=int, default=tes.DEFAULT_INTERVALS)
     tes_parser.add_argument("--fault", help="inject a fault: interval:node:mode")
     tes_parser.add_argument("--report", default="dayreport.json", help="day report output path")
     tes_parser.add_argument("--keep-network", action="store_true", help="leave nodes running afterwards")
 
-    audit_parser = sub.add_parser("audit", help="verify a day report against a node's chain")
-    _add_common(audit_parser)
+    audit_parser = sub.choices["audit"]
     audit_parser.add_argument("--report", required=True, help="day report file to audit")
     audit_parser.add_argument("--node", help="node whose chain to audit against (default: first miner)")
 
@@ -153,31 +138,20 @@ def _cmd_validate(args) -> int:
     return EXIT_VALIDATION
 
 
-_LIFECYCLE: dict[str, Callable[[NetworkManager], list[PhaseTiming]]] = {
-    "create": lambda manager: manager.network_create(),
-    "clients-create": lambda manager: [manager.clients_create()],
-    "miners-create": lambda manager: [manager.miners_create()],
-    "blockchain-make": lambda manager: [manager.blockchain_make()],
-    "blockchain-create": lambda manager: [manager.blockchain_create()],
-    "distribute-clients": lambda manager: [manager.distribute("clients")],
-    "distribute-miners": lambda manager: [manager.distribute("miners")],
-    "start-miners": lambda manager: [manager.start("miners")],
-    "start-clients": lambda manager: [manager.start("clients")],
-    "connect": lambda manager: [manager.network_connect()],
-    "stop": lambda manager: [manager.network_stop()],
-    "delete": lambda manager: [manager.network_delete()],
-}
+def _lifecycle(phases: Callable[[NetworkManager], list[PhaseTiming]]) -> Callable[[argparse.Namespace], int]:
+    """A command that runs lifecycle phases and reports their timings."""
 
+    def run(args) -> int:
+        timings = phases(_manager(args, _load_config(args.config)))
+        _print_timings(timings)
+        if args.csv:
+            rows = ((t.phase, t.node_count, 0, t.duration) for t in timings)
+            Path(args.csv).write_text(raw_csv(rows), encoding="utf-8")
+        if args.json_out:
+            _write_json([t.__dict__ for t in timings], args.json_out)
+        return EXIT_OK
 
-def _cmd_lifecycle(args) -> int:
-    config = _load_config(args.config)
-    timings = _LIFECYCLE[args.command](_manager(args, config))
-    _print_timings(timings)
-    if args.csv:
-        Path(args.csv).write_text(raw_csv((t.phase, t.node_count, 0, t.duration) for t in timings), encoding="utf-8")
-    if args.json_out:
-        _write_json([t.__dict__ for t in timings], args.json_out)
-    return EXIT_OK
+    return run
 
 
 def _cmd_bench(args) -> int:
@@ -285,6 +259,27 @@ def _cmd_audit(args) -> int:
     return EXIT_OK if all(f.ok for f in findings) else EXIT_EXECUTION
 
 
+# Every subcommand: its help line and what runs it, in the order --help lists them.
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int]]] = {
+    "validate": ("parse and consistency-check a network definition", _cmd_validate),
+    "clients-create": ("create client data directories", _lifecycle(lambda m: [m.clients_create()])),
+    "miners-create": ("create miner data directories", _lifecycle(lambda m: [m.miners_create()])),
+    "blockchain-make": ("produce the genesis document from the DSL", _lifecycle(lambda m: [m.blockchain_make()])),
+    "blockchain-create": ("initialize miner-side chain stores", _lifecycle(lambda m: [m.blockchain_create()])),
+    "distribute-clients": ("copy the genesis file to every client", _lifecycle(lambda m: [m.distribute("clients")])),
+    "distribute-miners": ("copy the genesis file to every miner", _lifecycle(lambda m: [m.distribute("miners")])),
+    "create": ("run all creation phases in order", _lifecycle(lambda m: m.network_create())),
+    "start-miners": ("launch miner node processes", _lifecycle(lambda m: [m.start("miners")])),
+    "start-clients": ("launch client node processes", _lifecycle(lambda m: [m.start("clients")])),
+    "connect": ("connect every client to every miner (star)", _lifecycle(lambda m: [m.network_connect()])),
+    "stop": ("stop all nodes (graceful, then kill)", _lifecycle(lambda m: [m.network_stop()])),
+    "delete": ("remove all per-node directories", _lifecycle(lambda m: [m.network_delete()])),
+    "bench": ("measure lifecycle phases across network sizes", _cmd_bench),
+    "run-tes": ("run a simulated trading day on the network", _cmd_run_tes),
+    "audit": ("verify a day report against a node's chain", _cmd_audit),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -297,15 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "run-tes":
-            return _cmd_run_tes(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        return _cmd_lifecycle(args)
+        return args.run(args)
     except (dsl.ConfigParseError, dsl.ConfigSchemaError, InvalidConfig, ValidationFailed) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -43,6 +43,7 @@ logger = logging.getLogger(__name__)
 FAULT_MODES = ("none", "stall_mempool", "unresponsive")
 UNRESPONSIVE_HANG_SECONDS = 600.0
 SYNC_BATCH = 500
+HELLO_TIMEOUT = 3.0  # seconds a peer gets to answer a hello; a restarted node serves admin after this at most
 
 DEFAULT_BLOCK_INTERVAL = 0.25
 
@@ -289,12 +290,12 @@ class NodeRuntime:
                 self._admin_server.stop()
                 self._admin_server = None
             raise PortInUse(f"{self.identity.name}: {exc}") from exc
-        self._admin_server.start()
         self._peer_server.start()
         threading.Thread(target=self._broadcast_loop, daemon=True).start()
         if self.identity.role == "miner":
             threading.Thread(target=self._mine_loop, daemon=True).start()
-        threading.Thread(target=self._greet_known_peers, daemon=True).start()
+        self._greet_known_peers()  # so a restarted node answers admin only once it has caught up
+        self._admin_server.start()
         logger.info(
             "%s (%s) up: admin=%s:%d chain=%s:%d height=%d",
             self.identity.name,
@@ -418,21 +419,27 @@ class NodeRuntime:
                     logger.debug("%s: peer %s unreachable during broadcast: %s", self.identity.name, target, exc)
 
     def _greet_known_peers(self) -> None:
+        """Greet every persisted peer at once; return when all are greeted, or after HELLO_TIMEOUT at most."""
         with self._lock:
-            targets = sorted(self.peers)
-        for host, port in targets:
-            if self.stop_event.is_set():
-                return
-            try:
-                self._handshake(host, port)
-            except OSError as exc:
-                logger.debug("%s: persisted peer %s:%d not reachable yet: %s", self.identity.name, host, port, exc)
+            greeters = [threading.Thread(target=self._greet, args=peer, daemon=True) for peer in sorted(self.peers)]
+        for greeter in greeters:
+            greeter.start()
+        deadline = time.monotonic() + HELLO_TIMEOUT
+        for greeter in greeters:
+            greeter.join(max(0.0, deadline - time.monotonic()))
+
+    def _greet(self, host: str, port: int) -> None:
+        try:
+            self._handshake(host, port)
+        except Exception as exc:  # a peer that is down or answers garbage is skipped, never fatal
+            logger.info("%s: greeting persisted peer %s:%d failed: %s", self.identity.name, host, port, exc)
 
     def _handshake(self, host: str, port: int) -> None:
         """Hello exchange: register the peer, catch up if behind, share mempool."""
         with self._lock:
             my_height = self.chain.height
-        ack = framed_request(host, port, {"kind": "hello", "from": self.endpoint, "height": my_height}, timeout=3.0)
+        hello = {"kind": "hello", "from": self.endpoint, "height": my_height}
+        ack = framed_request(host, port, hello, timeout=HELLO_TIMEOUT)
         with self._lock:
             self.peers.add((host, port))
             self._persist_peers()

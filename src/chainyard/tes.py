@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .canonical import canonical_json, digest_of, sha256_hex
 from .chain import Block
-from .dsl import NetworkConfig, NodeSpec
+from .dsl import NetworkConfig, node_lookup
 from .genesis import derive_account
 from .protocol import AdminClient, AdminError, AdminTimeout, AdminUnreachable
 from .wrapper import NodeWrapper, PeerUnreachable
@@ -33,23 +33,12 @@ QUANTITY_RANGE = (1, 10)  # kWh per order
 PRICE_RANGE = (1, 20)  # currency units per kWh
 DEFAULT_INTERVALS = 24
 SETTLEMENT_COST = 21000
+BUY_PRICE = 30  # participants buy from the grid (the DSO) at this price
+SELL_PRICE = 5  # participants sell to the grid (the DSO) at this price
 
 
 class TesError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class Tariff:
-    buy_price: int  # participants buy from the grid at this price
-    sell_price: int  # participants sell to the grid at this price
-
-    def __post_init__(self):
-        if not (self.buy_price > self.sell_price >= 0):
-            raise ValueError("tariff must satisfy buy_price > sell_price >= 0")
-
-
-DEFAULT_TARIFF = Tariff(buy_price=30, sell_price=5)
 
 
 @dataclass(frozen=True)
@@ -99,12 +88,19 @@ class ClearingResult:
     trades: list[Trade]
     clearing_price: int | None
     dso_residual: int  # grid import covering unmatched demand
-    dso_sales: list[tuple[str, int]] = field(default_factory=list)  # (buyer, qty) at tariff buy_price
-    dso_purchases: list[tuple[str, int]] = field(default_factory=list)  # (seller, qty) at tariff sell_price
-    tariff: Tariff = DEFAULT_TARIFF
+    dso_sales: list[tuple[str, int]] = field(default_factory=list)  # (buyer, qty) at BUY_PRICE
+    dso_purchases: list[tuple[str, int]] = field(default_factory=list)  # (seller, qty) at SELL_PRICE
 
     def matched_quantity(self) -> int:
         return sum(t.quantity for t in self.trades)
+
+    def settlements(self, dso: str) -> list[tuple[str, str, int]]:
+        """(payer, payee, amount) of each payment: the trades, then the DSO's sales, then its purchases."""
+        return (
+            [(t.buyer, t.seller, t.quantity * t.unit_price) for t in self.trades]
+            + [(buyer, dso, qty * BUY_PRICE) for buyer, qty in self.dso_sales]
+            + [(dso, seller, qty * SELL_PRICE) for seller, qty in self.dso_purchases]
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -114,17 +110,21 @@ class ClearingResult:
             "dsoResidual": self.dso_residual,
             "dsoSales": [[buyer, qty] for buyer, qty in self.dso_sales],
             "dsoPurchases": [[seller, qty] for seller, qty in self.dso_purchases],
-            "tariff": {"buyPrice": self.tariff.buy_price, "sellPrice": self.tariff.sell_price},
+            "tariff": {"buyPrice": BUY_PRICE, "sellPrice": SELL_PRICE},
         }
 
     def digest(self) -> str:
         return digest_of(self.to_dict())
 
 
+def _prosumers(config: NetworkConfig) -> list[str]:
+    return sorted(c.name for c in config.clients if c.role == "prosumer")
+
+
 def generate_day(seed: int, config: NetworkConfig, intervals: int = DEFAULT_INTERVALS) -> dict[int, list[Order]]:
     """Deterministic synthetic order book: one order per prosumer per interval."""
     rng = random.Random(seed)
-    prosumers = sorted(c.name for c in config.clients if c.role == "prosumer")
+    prosumers = _prosumers(config)
     book: dict[int, list[Order]] = {}
     for interval in range(intervals):
         orders = []
@@ -137,14 +137,14 @@ def generate_day(seed: int, config: NetworkConfig, intervals: int = DEFAULT_INTE
     return book
 
 
-def clear_market(offers: list[Order], bids: list[Order], tariff: Tariff = DEFAULT_TARIFF) -> ClearingResult:
+def clear_market(offers: list[Order], bids: list[Order]) -> ClearingResult:
     """Uniform-price double auction for one interval.
 
     Offers are filled cheapest first, bids dearest first, matched while
     the bid price covers the offer price. The clearing price is the
     integer midpoint of the marginal matched pair; every local trade
-    settles at it. Unmatched demand buys from the DSO at the tariff buy
-    price, unmatched supply sells to the DSO at the tariff sell price.
+    settles at it. Unmatched demand buys from the DSO at BUY_PRICE,
+    unmatched supply sells to the DSO at SELL_PRICE.
     """
     interval = offers[0].interval if offers else (bids[0].interval if bids else 0)
     for order in offers + bids:
@@ -192,7 +192,6 @@ def clear_market(offers: list[Order], bids: list[Order], tariff: Tariff = DEFAUL
         dso_residual=residual,
         dso_sales=dso_sales,
         dso_purchases=dso_purchases,
-        tariff=tariff,
     )
 
 
@@ -249,6 +248,73 @@ class _DsoInbox:
         return [self._orders[(interval, actor)] for actor in sorted(actors)]
 
 
+class _Day:
+    """One trading day over a running network: the parties, the DSO's inbox, and the rule that clears an interval."""
+
+    def __init__(self, wrappers: dict[str, NodeWrapper], config: NetworkConfig, mine_deadline: float):
+        dsos = [c.name for c in config.clients if c.role == "dso"]
+        if len(dsos) != 1:
+            raise TesError(f"the trading day needs exactly one dso client, found {len(dsos)}")
+        self.prosumers = _prosumers(config)
+        if not self.prosumers:
+            raise TesError("config has no prosumers")
+        self.wrappers = wrappers
+        self.dso = dsos[0]
+        self.accounts = {node.name: derive_account(config.configuration_name, node.name) for node in config.all_nodes()}
+        self.endpoints = {c.name: (c.host, c.wrapper_port) for c in config.clients}
+        self.inbox = _DsoInbox()
+        self.mine_deadline = mine_deadline
+        wrappers[self.dso].on_message(self.inbox)
+
+    def clear(self, interval: int, orders: list[Order], prev_chain_digest: str) -> IntervalOutcome:
+        # Prosumers submit orders concurrently over the off-chain channel.
+        errors: list[str] = []
+
+        def send_order(order: Order) -> None:
+            try:
+                self.wrappers[order.actor].send_offchain(
+                    self.endpoints[self.dso], canonical_json(order.to_dict()), kind="tes_order"
+                )
+            except PeerUnreachable as exc:
+                errors.append(str(exc))
+
+        threads = [threading.Thread(target=send_order, args=(order,)) for order in orders]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise TesError(f"interval {interval}: order delivery failed: {errors[0]}")
+
+        received = self.inbox.orders_for(interval, {order.actor for order in orders})
+        result = clear_market([o for o in received if o.side == "offer"], [o for o in received if o.side == "bid"])
+        digest = result.digest()
+
+        # Full result goes off-chain to every prosumer; only its digest goes on-chain.
+        dso = self.wrappers[self.dso]
+        commit_tx_id, _ = dso.submit_with_privacy(
+            canonical_json(result.to_dict()),
+            recipient=self.accounts[self.dso],
+            value=0,
+            endpoints=[self.endpoints[p] for p in self.prosumers],
+        )
+        settlement_tx_ids = [
+            self.wrappers[payer].submit(self.accounts[payee], amount, cost=SETTLEMENT_COST)
+            for payer, payee, amount in result.settlements(self.dso)
+        ]
+
+        _await_mined(dso.admin, [commit_tx_id, *settlement_tx_ids], self.mine_deadline, interval)
+        return IntervalOutcome(
+            interval=interval,
+            status="ok",
+            result=result.to_dict(),
+            digest=digest,
+            chain_digest=sha256_hex(f"{prev_chain_digest}:{digest}".encode("utf-8")),
+            commit_tx_id=commit_tx_id,
+            settlement_tx_ids=settlement_tx_ids,
+        )
+
+
 def run_day(
     wrappers: dict[str, NodeWrapper],
     config: NetworkConfig,
@@ -263,19 +329,7 @@ def run_day(
     day. The returned report is a plain dict ready for canonical
     serialization.
     """
-    dso_spec = _single_dso(config)
-    prosumer_specs = sorted(
-        (c for c in config.clients if c.role == "prosumer"), key=lambda c: c.name
-    )
-    if not prosumer_specs:
-        raise TesError("config has no prosumers")
-    dso = wrappers[dso_spec.name]
-    accounts = {node.name: derive_account(config.configuration_name, node.name) for node in config.all_nodes()}
-    endpoints = {c.name: (c.host, c.wrapper_port) for c in config.clients}
-
-    inbox = _DsoInbox()
-    dso.on_message(inbox)
-
+    day = _Day(wrappers, config, mine_deadline)
     book = generate_day(seed, config, intervals)
     outcomes: list[IntervalOutcome] = []
     chain_digest = ""
@@ -285,19 +339,7 @@ def run_day(
         if fault is not None and fault[0] == interval:
             _inject_fault(config, fault[1], fault[2])
         try:
-            outcome = _run_interval(
-                interval,
-                book[interval],
-                wrappers,
-                dso,
-                inbox,
-                accounts,
-                endpoints,
-                dso_spec,
-                prosumer_specs,
-                mine_deadline,
-                chain_digest,
-            )
+            outcome = day.clear(interval, book[interval], chain_digest)
         except (TesError, AdminError, AdminTimeout, AdminUnreachable, PeerUnreachable) as exc:
             logger.error("interval %d failed: %s", interval, exc)
             outcome = IntervalOutcome(interval=interval, status="failed", error=str(exc))
@@ -309,89 +351,12 @@ def run_day(
         "configurationName": config.configuration_name,
         "seed": seed,
         "intervals": intervals,
-        "tariff": {"buyPrice": DEFAULT_TARIFF.buy_price, "sellPrice": DEFAULT_TARIFF.sell_price},
+        "tariff": {"buyPrice": BUY_PRICE, "sellPrice": SELL_PRICE},
         "outcomes": [o.to_dict() for o in outcomes],
         "finalChainDigest": chain_digest,
         "startedAt": started_at,
         "finishedAt": time.time(),
     }
-
-
-def _run_interval(
-    interval: int,
-    orders: list[Order],
-    wrappers: dict[str, NodeWrapper],
-    dso: NodeWrapper,
-    inbox: _DsoInbox,
-    accounts: dict[str, str],
-    endpoints: dict[str, tuple[str, int]],
-    dso_spec: NodeSpec,
-    prosumer_specs: list[NodeSpec],
-    mine_deadline: float,
-    prev_chain_digest: str,
-) -> IntervalOutcome:
-    # Prosumers submit orders concurrently over the off-chain channel.
-    dso_endpoint = endpoints[dso_spec.name]
-    errors: list[str] = []
-
-    def send_order(order: Order) -> None:
-        try:
-            wrappers[order.actor].send_offchain(
-                dso_endpoint, canonical_json(order.to_dict()), kind="tes_order"
-            )
-        except PeerUnreachable as exc:
-            errors.append(str(exc))
-
-    threads = [threading.Thread(target=send_order, args=(order,)) for order in orders]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise TesError(f"interval {interval}: order delivery failed: {errors[0]}")
-
-    actors = {order.actor for order in orders}
-    received = inbox.orders_for(interval, actors)
-    result = clear_market([o for o in received if o.side == "offer"], [o for o in received if o.side == "bid"])
-    payload = canonical_json(result.to_dict())
-    digest = result.digest()
-
-    # Full result goes off-chain to every prosumer; only its digest goes on-chain.
-    commit_tx_id, _ = dso.submit_with_privacy(
-        payload,
-        recipient=accounts[dso_spec.name],
-        value=0,
-        endpoints=[endpoints[p.name] for p in prosumer_specs],
-    )
-
-    settlement_tx_ids: list[str] = []
-    for trade in result.trades:
-        buyer = wrappers[trade.buyer]
-        settlement_tx_ids.append(
-            buyer.submit(accounts[trade.seller], trade.quantity * trade.unit_price, cost=SETTLEMENT_COST)
-        )
-    for buyer_name, quantity in result.dso_sales:
-        settlement_tx_ids.append(
-            wrappers[buyer_name].submit(
-                accounts[dso_spec.name], quantity * DEFAULT_TARIFF.buy_price, cost=SETTLEMENT_COST
-            )
-        )
-    for seller_name, quantity in result.dso_purchases:
-        settlement_tx_ids.append(
-            dso.submit(accounts[seller_name], quantity * DEFAULT_TARIFF.sell_price, cost=SETTLEMENT_COST)
-        )
-
-    _await_mined(dso.admin, [commit_tx_id, *settlement_tx_ids], mine_deadline, interval)
-    chain_digest = sha256_hex(f"{prev_chain_digest}:{digest}".encode("utf-8"))
-    return IntervalOutcome(
-        interval=interval,
-        status="ok",
-        result=result.to_dict(),
-        digest=digest,
-        chain_digest=chain_digest,
-        commit_tx_id=commit_tx_id,
-        settlement_tx_ids=settlement_tx_ids,
-    )
 
 
 def _await_mined(admin: AdminClient, tx_ids: list[str], deadline: float, interval: int) -> None:
@@ -412,18 +377,9 @@ def _await_mined(admin: AdminClient, tx_ids: list[str], deadline: float, interva
 
 
 def _inject_fault(config: NetworkConfig, node_name: str, mode: str) -> None:
-    from .dsl import node_lookup
-
     spec = node_lookup(config, node_name)
     logger.warning("injecting fault %s on node %s at its admin port", mode, node_name)
     AdminClient(spec.host, spec.admin_port, timeout=2.0).set_fault(mode)
-
-
-def _single_dso(config: NetworkConfig) -> NodeSpec:
-    dsos = [c for c in config.clients if c.role == "dso"]
-    if len(dsos) != 1:
-        raise TesError(f"the trading day needs exactly one dso client, found {len(dsos)}")
-    return dsos[0]
 
 
 # -- reporting and audit ----------------------------------------------------------

@@ -5,8 +5,10 @@ import json
 import logging
 import socket
 import statistics
+import struct
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -15,7 +17,15 @@ from chainyard.chain import make_transaction
 from chainyard.dsl import GenesisParams, NetworkConfig
 from chainyard.genesis import derive_account, make_genesis, write_genesis
 from chainyard.manager import make_bench_config
-from chainyard.node import GenesisMismatch, NodeRuntime, PortInUse, load_blocks
+from chainyard.node import (
+    HELLO_TIMEOUT,
+    GenesisMismatch,
+    NodeIdentity,
+    NodePaths,
+    NodeRuntime,
+    PortInUse,
+    load_blocks,
+)
 from chainyard.protocol import AdminClient, AdminError, AdminTimeout, framed_request
 from conftest import wait_until
 
@@ -36,19 +46,19 @@ def deploy(tmp_path, prosumers=1, block_interval=0.08, template=TEMPLATE, suffix
     for node in config.all_nodes():
         directory = tmp_path / config.configuration_name / node.name
         directory.mkdir(parents=True)
-        identity = {
-            "configurationName": config.configuration_name,
-            "name": node.name,
-            "role": node.role,
-            "host": node.host,
-            "blockchainPort": node.blockchain_port,
-            "adminPort": node.admin_port,
-            "wrapperPort": node.wrapper_port,
-            "account": derive_account(config.configuration_name, node.name),
-            "blockIntervalSeconds": block_interval,
-            "maxBlockTxs": 64,
-        }
-        (directory / "node.json").write_text(json.dumps(identity), encoding="utf-8")
+        identity = NodeIdentity(
+            configuration_name=config.configuration_name,
+            name=node.name,
+            role=node.role,
+            host=node.host,
+            blockchain_port=node.blockchain_port,
+            admin_port=node.admin_port,
+            wrapper_port=node.wrapper_port,
+            account=derive_account(config.configuration_name, node.name),
+            block_interval=block_interval,
+            max_block_txs=64,
+        )
+        (directory / "node.json").write_text(json.dumps(identity.dump()), encoding="utf-8")
         write_genesis(doc, directory / "genesis.json")
         dirs[node.name] = directory
     return config, doc, dirs
@@ -214,6 +224,71 @@ def test_restart_preserves_height(tmp_path, boot):
     restarted = boot(dirs["miner1"])
     assert restarted.chain.height >= height
     assert admin.block_number() >= height
+
+
+def behind_the_miner(tmp_path, boot, suffix, with_stranger=False):
+    """A running miner some blocks ahead, and a client directory whose peers.json names it.
+
+    The miner never heard of the client, so only the client's greeting can bring it up to date.
+    With with_stranger, peers.json also names a listener that sorts first and that the test drives.
+    """
+    config, _, dirs = deploy(tmp_path, suffix=suffix)
+    miner = boot(dirs["miner1"])
+    wait_until(lambda: miner.chain.height >= 3, message="miner ahead")
+    spec = config.miners[0]
+    peers = [(spec.host, spec.blockchain_port)]
+    stranger = None
+    if with_stranger:
+        stranger = listener_before(spec.blockchain_port)
+        peers.append(stranger.getsockname())
+    NodePaths(dirs["prosumer1"]).peers.write_text(json.dumps(sorted(peers)), encoding="utf-8")
+    return dirs["prosumer1"], miner, stranger
+
+
+def listener_before(port: int) -> socket.socket:
+    """A listening socket on 127.0.0.1 at a port below the given one, so it sorts (and is greeted) first."""
+    for candidate in range(port - 1, 1024, -1):
+        sock = socket.socket()
+        try:
+            sock.bind(("127.0.0.1", candidate))
+        except OSError:
+            sock.close()
+            continue
+        sock.listen()
+        return sock
+    raise RuntimeError(f"no free port below {port}")
+
+
+def test_restarted_client_has_caught_up_when_start_returns(tmp_path, boot):
+    client_dir, miner, _ = behind_the_miner(tmp_path, boot, "w")
+    target = miner.chain.height
+    client = boot(client_dir)
+    assert client.chain.height >= target
+
+
+def test_a_peer_answering_garbage_does_not_stop_the_catch_up(tmp_path, boot):
+    client_dir, miner, garbage = behind_the_miner(tmp_path, boot, "x", with_stranger=True)
+
+    def answer_garbage():
+        conn, _ = garbage.accept()
+        with conn:
+            conn.sendall(struct.pack(">I", 5) + b"{oops")  # a frame that is no JSON
+
+    with garbage:
+        threading.Thread(target=answer_garbage, daemon=True).start()
+        target = miner.chain.height
+        client = boot(client_dir)
+        wait_until(lambda: client.chain.height >= target, timeout=2.0, message="client caught up past the garbage")
+
+
+def test_a_peer_that_never_answers_delays_start_by_the_hello_timeout_at_most(tmp_path, boot):
+    client_dir, miner, hung = behind_the_miner(tmp_path, boot, "y", with_stranger=True)
+    with hung:  # connections wait in its backlog and are never answered
+        target = miner.chain.height
+        started = time.monotonic()
+        client = boot(client_dir)
+        assert time.monotonic() - started < HELLO_TIMEOUT + 0.5
+        wait_until(lambda: client.chain.height >= target, timeout=1.0, message="client caught up")
 
 
 def test_restart_with_different_genesis_mismatch(tmp_path, boot):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainyard.canonical import canonical_json
+from chainyard.canonical import canonical_json, digest_of
 from chainyard.chain import Chain, make_transaction
 from chainyard.genesis import derive_account, make_genesis
 from chainyard.manager import make_bench_config
@@ -14,7 +14,6 @@ from chainyard.node import load_blocks
 from chainyard.protocol import AdminUnreachable
 from chainyard.tes import (
     Order,
-    Tariff,
     TesError,
     _DsoInbox,
     audit_report,
@@ -55,7 +54,6 @@ def test_clear_market_worked_example():
     result = clear_market(
         offers_of(("A", 5, 10), ("B", 5, 20)),
         bids_of(("C", 8, 25)),
-        Tariff(30, 5),
     )
     assert [(t.seller, t.buyer, t.quantity) for t in result.trades] == [("A", "C", 5), ("B", "C", 3)]
     assert result.clearing_price == 22
@@ -66,8 +64,30 @@ def test_clear_market_worked_example():
     )
 
 
+def test_settlements_list_each_payment_in_submission_order():
+    # The worked example plus a bid that clears nothing: trades, then the DSO's sales, then its purchases.
+    result = clear_market(offers_of(("A", 5, 10), ("B", 5, 20)), bids_of(("C", 8, 25), ("D", 3, 15)))
+    assert result.settlements("dso1") == [
+        ("C", "A", 5 * 22),
+        ("C", "B", 3 * 22),
+        ("D", "dso1", 3 * 30),
+        ("dso1", "B", 2 * 5),
+    ]
+
+
+def test_clearing_a_seeded_day_is_byte_stable():
+    config = make_bench_config(BENCH_TEMPLATE, 5, suffix="golden")
+    book = generate_day(42, config)
+    results = [
+        clear_market([o for o in orders if o.side == "offer"], [o for o in orders if o.side == "bid"]).to_dict()
+        for orders in book.values()
+    ]
+    assert len(results) == 24
+    assert digest_of(results) == "e90815919e843b920d096c33789d8884c7934fe3ac6527a127c1c71b5bc0f866"
+
+
 def test_clear_market_no_offers_residual_positive():
-    result = clear_market([], bids_of(("C", 4, 25)), Tariff(30, 5))
+    result = clear_market([], bids_of(("C", 4, 25)))
     assert result.trades == []
     assert result.clearing_price is None
     assert result.dso_residual == 4
@@ -75,7 +95,7 @@ def test_clear_market_no_offers_residual_positive():
 
 
 def test_clear_market_only_offers_exported_but_no_residual():
-    result = clear_market(offers_of(("A", 6, 3)), [], Tariff(30, 5))
+    result = clear_market(offers_of(("A", 6, 3)), [])
     assert result.trades == []
     assert result.dso_residual == 0  # no unserved demand; export is settled separately
     assert result.dso_purchases == [("A", 6)]
@@ -104,8 +124,6 @@ def test_order_validation():
         Order("A", 0, "offer", 0, 5)
     with pytest.raises(ValueError):
         Order("A", 0, "hold", 1, 5)
-    with pytest.raises(ValueError):
-        Tariff(5, 5)
 
 
 order_lists = st.lists(
