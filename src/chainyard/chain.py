@@ -12,6 +12,7 @@ allocation total.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -189,6 +190,32 @@ def block_header_hash(height: int, parent_hash: str, timestamp: int, miner: str,
     )
 
 
+def header_hasher(height: int, parent_hash: str, timestamp: int, miner: str, root: str) -> Callable[[int], bytes]:
+    """block_header_hash as raw digest bytes, for a header whose fields other than pow_nonce are fixed.
+
+    Canonical JSON sorts the keys, so the header's bytes are the fields
+    before "powNonce", then the nonce's decimal digits, then the fields
+    after it. The prefix is hashed once; each call copies that state and
+    hashes only the nonce and the suffix.
+    """
+    before = canonical_json({"height": height, "miner": miner, "parentHash": parent_hash})
+    after = canonical_json({"timestamp": timestamp, "txRoot": root})
+    prefix_state = hashlib.sha256(before[:-1] + b',"powNonce":')
+    suffix = b"," + after[1:]
+
+    def digest_at(pow_nonce: int) -> bytes:
+        state = prefix_state.copy()
+        state.update(b"%d" % pow_nonce + suffix)
+        return state.digest()
+
+    return digest_at
+
+
+def digest_limit(target_bits: int) -> bytes:
+    """The largest digest that meets the target: meets_target(d.hex(), bits) iff d <= digest_limit(bits)."""
+    return ((1 << (256 - target_bits)) - 1).to_bytes(32, "big")
+
+
 def header_problem(block: Block, target_bits: int) -> str | None:
     """Why the block's hash is not a valid proof-of-work over its header, or None."""
     expected = block_header_hash(
@@ -226,17 +253,20 @@ def mine_candidate(
 ) -> Block | None:
     """Search pow_nonce from 0 until the header hash meets the target.
 
-    Returns None only if should_abort fires; the search space is never
-    exhausted in practice (nonce is 64-bit, targets are <= 24 bits).
+    should_abort is asked once every 1024 nonces. Returns None only if it
+    fires; the search space is never exhausted in practice (nonce is
+    64-bit, targets are <= 24 bits).
     """
-    root = tx_root(transactions)
-    nonce = 0
+    digest_at = header_hasher(height, parent_hash, timestamp, miner, tx_root(transactions))
+    limit = digest_limit(target_bits)
+    start = 0
     while True:
-        digest = block_header_hash(height, parent_hash, timestamp, miner, nonce, root)
-        if meets_target(digest, target_bits):
-            return Block(height, parent_hash, timestamp, miner, nonce, transactions, digest)
-        nonce = (nonce + 1) % (1 << 64)
-        if should_abort is not None and nonce % 1024 == 0 and should_abort():
+        for nonce in range(start, start + 1024):
+            digest = digest_at(nonce)
+            if digest <= limit:
+                return Block(height, parent_hash, timestamp, miner, nonce, transactions, digest.hex())
+        start = (start + 1024) % (1 << 64)
+        if should_abort is not None and should_abort():
             return None
 
 

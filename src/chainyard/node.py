@@ -276,8 +276,11 @@ class NodeRuntime:
     def _persist_mempool(self) -> None:
         _write_json_atomic(self.paths.mempool, {"transactions": [tx.to_dict() for tx in self.chain.mempool.values()]})
 
-    def _persist_peers(self) -> None:
-        _write_json_atomic(self.paths.peers, sorted([h, p] for h, p in self.peers))
+    def _add_peer(self, peer: tuple[str, int]) -> None:
+        """Record a peer; peers.json is rewritten only when the set grows. Call with the lock held."""
+        if peer not in self.peers:
+            self.peers.add(peer)
+            _write_json_atomic(self.paths.peers, sorted([h, p] for h, p in self.peers))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -415,8 +418,8 @@ class NodeRuntime:
                     continue
                 try:
                     framed_request(target[0], target[1], message, timeout=2.0)
-                except OSError as exc:
-                    logger.debug("%s: peer %s unreachable during broadcast: %s", self.identity.name, target, exc)
+                except Exception as exc:  # a peer that is down or answers garbage is skipped, never fatal
+                    logger.debug("%s: broadcast to peer %s failed: %s", self.identity.name, target, exc)
 
     def _greet_known_peers(self) -> None:
         """Greet every persisted peer at once; return when all are greeted, or after HELLO_TIMEOUT at most."""
@@ -441,8 +444,7 @@ class NodeRuntime:
         hello = {"kind": "hello", "from": self.endpoint, "height": my_height}
         ack = framed_request(host, port, hello, timeout=HELLO_TIMEOUT)
         with self._lock:
-            self.peers.add((host, port))
-            self._persist_peers()
+            self._add_peer((host, port))
         if ack.get("height", 0) > my_height:
             self._sync_from(host, port)
         if self.fault != "stall_mempool":
@@ -589,8 +591,7 @@ class NodeRuntime:
         if kind == "hello":
             with self._lock:
                 if source and source[0] is not None:
-                    self.peers.add((source[0], source[1]))
-                    self._persist_peers()
+                    self._add_peer(source)
                 return {"kind": "hello_ack", "height": self.chain.height}
         if kind == "get_blocks":
             start = int(message.get("fromHeight", 1))

@@ -16,7 +16,10 @@ from chainyard.chain import (
     TxError,
     apply_tx,
     audit_chain,
+    block_header_hash,
+    digest_limit,
     genesis_block,
+    header_hasher,
     make_transaction,
     meets_target,
     mine_candidate,
@@ -98,6 +101,79 @@ def test_mined_block_satisfies_target():
     chain, accounts = build_chain(difficulty=256)  # 8 bits
     block = chain.mine_next(accounts[0], timestamp=5)
     assert meets_target(block.block_hash, 8)
+
+
+NONCE_EDGES = (0, 9, 10, 99, 100, 2**64 - 1)
+HEADER_TEXT = st.one_of(
+    st.sampled_from(['"powNonce":', '"powNonce":0,', '\\"', '\\', "é€😀", "ab" * 32]),
+    st.text(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    height=st.integers(min_value=0, max_value=2**63),
+    timestamp=st.integers(min_value=0, max_value=2**63),
+    parent_hash=HEADER_TEXT,
+    miner=HEADER_TEXT,
+    root=HEADER_TEXT,
+    nonce=st.one_of(st.sampled_from(NONCE_EDGES), st.integers(min_value=0, max_value=2**64 - 1)),
+)
+def test_header_hasher_matches_block_header_hash(height, timestamp, parent_hash, miner, root, nonce):
+    digest = header_hasher(height, parent_hash, timestamp, miner, root)(nonce)
+    assert digest.hex() == block_header_hash(height, parent_hash, timestamp, miner, nonce, root)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digest=st.binary(min_size=32, max_size=32), bits=st.integers(min_value=4, max_value=24))
+def test_digest_limit_agrees_with_meets_target(digest, bits):
+    assert (digest <= digest_limit(bits)) == meets_target(digest.hex(), bits)
+
+
+@pytest.mark.parametrize("bits", range(4, 25))
+def test_digest_limit_is_the_boundary(bits):
+    limit = int.from_bytes(digest_limit(bits), "big")
+    assert meets_target(f"{limit:064x}", bits)
+    assert not meets_target(f"{limit + 1:064x}", bits)
+
+
+def golden_candidate():
+    txs = tuple(make_transaction("alice", "bob", 10 + i, nonce=i) for i in range(3))
+    return dict(height=7, parent_hash="ab" * 32, miner="cd" * 32, transactions=txs, timestamp=1700000001)
+
+
+def test_mined_block_golden_value():
+    # Block hashes are a stable interface: frozen from an earlier release, they must not move.
+    # The search for this candidate runs past two abort checks (nonce 1024 and 2048).
+    block = mine_candidate(**golden_candidate(), target_bits=pow_target(400), should_abort=lambda: False)
+    assert (block.pow_nonce, block.block_hash) == (
+        2293,
+        "001923d68b3b35f11c5b8d7fff4d6168ff8e77fae4123d4e630f4fb5a2f2043f",
+    )
+
+
+@pytest.mark.parametrize("timestamp", range(20))
+def test_mine_candidate_finds_the_first_nonce_block_header_hash_accepts(timestamp):
+    candidate = dict(golden_candidate(), timestamp=timestamp)
+    root = tx_root(candidate["transactions"])
+    fields = (candidate["height"], candidate["parent_hash"], timestamp, candidate["miner"])
+    nonce = 0
+    while not meets_target(block_header_hash(*fields, nonce, root), 8):
+        nonce += 1
+    block = mine_candidate(**candidate, target_bits=8)
+    assert block.pow_nonce == nonce
+    assert block.block_hash == block_header_hash(*fields, nonce, root)
+
+
+def test_mine_candidate_aborts_within_1024_nonces():
+    calls = []
+
+    def should_abort():
+        calls.append(True)
+        return True
+
+    assert mine_candidate(**golden_candidate(), target_bits=24, should_abort=should_abort) is None
+    assert len(calls) == 1  # asked once, at nonce 1024, after nonces 0..1023 missed
 
 
 # -- transaction admission -----------------------------------------------------

@@ -291,6 +291,58 @@ def test_a_peer_that_never_answers_delays_start_by_the_hello_timeout_at_most(tmp
         wait_until(lambda: client.chain.height >= target, timeout=1.0, message="client caught up")
 
 
+def test_gossip_goes_on_past_a_peer_answering_garbage(tmp_path, boot):
+    config, _, dirs = deploy(tmp_path, suffix="z")
+    miner = boot(dirs["miner1"])
+    miner.mining_enabled = False  # the txs stay in its mempool
+    spec = config.miners[0]
+    garbage = listener_before(spec.blockchain_port)
+
+    def answer_garbage():
+        while True:
+            try:
+                conn, _ = garbage.accept()
+            except OSError:  # the test closed the listener
+                return
+            with conn:
+                conn.sendall(struct.pack(">I", 5) + b"{oops")  # a frame that is no JSON
+
+    with garbage:
+        threading.Thread(target=answer_garbage, daemon=True).start()
+        peers = sorted([(spec.host, spec.blockchain_port), garbage.getsockname()])
+        NodePaths(dirs["prosumer1"]).peers.write_text(json.dumps(peers), encoding="utf-8")
+        client = boot(dirs["prosumer1"])
+        client_admin = admin_for(config, "prosumer1")
+        sender = account_of(config, "prosumer1")
+        nonce = client_admin.get_nonce(sender)
+        txs = [make_transaction(sender, account_of(config, "miner1"), 1, nonce=nonce + i) for i in range(2)]
+        client_admin.submit_tx(txs[0].to_dict())
+        time.sleep(0.5)
+        client_admin.submit_tx(txs[1].to_dict())
+        wait_until(
+            lambda: all(tx.tx_id in miner.chain.mempool for tx in txs), timeout=5.0, message="both txs gossiped"
+        )
+        assert garbage.getsockname() in client.peers
+
+
+def test_a_repeated_hello_does_not_rewrite_peers_json(tmp_path, boot):
+    config, _, dirs = deploy(tmp_path, suffix="v")
+    boot(dirs["miner1"])
+    boot(dirs["prosumer1"])
+    client_admin = admin_for(config, "prosumer1")
+    miner = config.miners[0]
+    client_admin.add_peer(miner.host, miner.blockchain_port)
+    files = [NodePaths(dirs[name]).peers for name in ("prosumer1", "miner1")]
+    before = [(path.stat().st_ino, path.stat().st_mtime_ns) for path in files]
+
+    client_admin.add_peer(miner.host, miner.blockchain_port)  # a hello each way from a known peer
+    client = config.clients[0]
+    hello = {"kind": "hello", "from": {"host": client.host, "port": client.blockchain_port}, "height": 0}
+    assert framed_request(miner.host, miner.blockchain_port, hello, timeout=2.0)["kind"] == "hello_ack"
+
+    assert [(path.stat().st_ino, path.stat().st_mtime_ns) for path in files] == before
+
+
 def test_restart_with_different_genesis_mismatch(tmp_path, boot):
     config, _, dirs = deploy(tmp_path, suffix="k")
     runtime = NodeRuntime(dirs["prosumer1"])
