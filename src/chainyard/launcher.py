@@ -2,14 +2,21 @@
 
 Every effect on a node's host goes through an Executor, so a node that one
 side started can be probed and stopped by the other.
+
+A live node holds an exclusive flock on its ``node.pid`` for its whole
+life and writes its pid there. The lock goes with the process, even when
+the process lingers as a zombie, so a pid counts as this node's exactly
+while a process holds the lock and the file names that pid: a stale
+``node.pid`` whose pid another process has since taken is locked by nobody.
 """
 
 from __future__ import annotations
 
+import json
 import shlex
 import sys
-import time
 from pathlib import Path
+from typing import Sequence
 
 from .executor import Executor, LocalExecutor
 from .node import NodePaths
@@ -20,63 +27,61 @@ STOP_GRACE = 3.0  # seconds a node gets to exit before kill -9, and after it
 
 
 class LaunchFailed(RuntimeError):
-    pass
+    def __init__(self, message: str, failed: dict[Path, str] | None = None):
+        super().__init__(message)
+        self.failed = failed or {}  # data directory -> why its node did not start
 
 
 class NodeLauncher:
-    """Starts, probes and stops the node of a data directory on its host.
-
-    data_dir must be resolved: the liveness test matches it against the node's ``--data-dir``.
-    """
+    """Starts, probes and stops the nodes of data directories on their host."""
 
     def __init__(self, executor: Executor | None = None, python_cmd: str | None = None):
         self.executor = executor or LocalExecutor()
         self.python_cmd = python_cmd or sys.executable
 
-    def start(self, host: str, data_dir: Path) -> int:
-        """Start the node in the background, write its pid to node.pid and return it."""
-        paths = NodePaths(data_dir)
-        command = (
-            f"nohup {shlex.quote(self.python_cmd)} -m chainyard.node --data-dir {shlex.quote(str(data_dir))} "
-            f">> {shlex.quote(str(paths.log))} 2>&1 & echo $! > {shlex.quote(str(paths.pid))} && echo $!"
-        )
-        result = self.executor.run(host, command)
-        if result.status != 0:
-            raise LaunchFailed(f"command {command!r} exited {result.status}: {result.output.strip()}")
-        return int(result.output.strip())
+    def start(self, host: str, data_dirs: Sequence[Path]) -> dict[Path, int]:
+        """Start the nodes of data_dirs in the background, from one interpreter; return each one's pid.
 
-    def await_ready(self, admin: AdminClient, timeout: float) -> bool:
-        """Poll the node's admin port until it answers; False if it did not within timeout."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if admin.is_up(timeout=0.5):
-                return True
-            time.sleep(0.02)
-        return False
+        Returns once every node serves admin. Raises LaunchFailed, naming each
+        node that exited or did not serve admin in time; the others keep running.
+        """
+        dirs = " ".join(f"--data-dir {shlex.quote(str(d))}" for d in data_dirs)
+        command = f"{shlex.quote(self.python_cmd)} -m chainyard.node --detach {dirs}"
+        result = self.executor.run(host, command)
+        try:
+            report = json.loads(result.output.strip().splitlines()[-1])  # the launch's last line
+            started, failed = report["started"], report["failed"]
+        except (IndexError, ValueError, KeyError, TypeError):
+            raise LaunchFailed(f"command {command!r} exited {result.status}: {result.output.strip()}") from None
+        if failed:
+            failures = {Path(d): why for d, why in failed.items()}
+            raise LaunchFailed("; ".join(f"{d}: {why}" for d, why in failures.items()), failures)
+        return {d: started[str(d)] for d in data_dirs}
+
+    def running_pids(self, host: str, data_dirs: Sequence[Path]) -> dict[Path, int | None]:
+        """Each directory's node pid if a live node holds its node.pid, else None: one host command."""
+        probes = "; ".join(f'{_holder(d)}; echo "=$p"' for d in data_dirs)
+        lines = [line[1:] for line in self.executor.run(host, probes).output.splitlines() if line.startswith("=")]
+        lines += [""] * (len(data_dirs) - len(lines))
+        return {d: int(p) if p.isdigit() else None for d, p in zip(data_dirs, lines)}
 
     def running_pid(self, host: str, data_dir: Path) -> int | None:
         """The pid in node.pid if it is this node's live process, else None: one host command."""
-        pid_file = shlex.quote(str(NodePaths(data_dir).pid))
-        result = self.executor.run(
-            host,
-            f'pid=$(cat {pid_file} 2>/dev/null) && case $pid in ""|*[!0-9]*) false ;; esac && '
-            f'{_alive_test(data_dir, "$pid")} && echo $pid',
-        )
-        return int(result.output.split()[-1]) if result.status == 0 else None  # echo $pid prints last
+        return self.running_pids(host, [data_dir])[data_dir]
 
     def is_alive(self, host: str, data_dir: Path, pid: int) -> bool:
-        return self.executor.run(host, _alive_test(data_dir, pid)).status == 0
+        return self.executor.run(host, f'{_holder(data_dir)}; [ "$p" = {pid} ]').status == 0
 
     def await_gone(self, host: str, data_dir: Path, pid: int) -> bool:
-        """Wait on the host, up to STOP_GRACE, until pid is gone; False if it outlived the wait."""
-        loop = f"while {_alive_test(data_dir, pid)}; do sleep 0.01; done"
-        return self.executor.run(host, f"timeout {STOP_GRACE:g} sh -c {shlex.quote(loop)}").status == 0
+        """Wait on the host, up to STOP_GRACE, until pid no longer holds the lock; False if it outlived the wait."""
+        wait = f'[ "$p" != {pid} ] || flock -w {STOP_GRACE:g} -s 9'
+        return self.executor.run(host, _holder(data_dir, then=wait)).status == 0
 
     def kill(self, host: str, data_dir: Path, pid: int | None) -> None:
-        """kill -9 the node if pid is still its process, then wait until it is gone."""
+        """kill -9 the node if pid still holds its lock, then wait until it is gone: one host command."""
         if pid is not None:
-            self.executor.run(host, f"{_alive_test(data_dir, pid)} && kill -9 {pid}")
-            self.await_gone(host, data_dir, pid)
+            kill = f'[ "$p" != {pid} ] || {{ kill -9 {pid}; flock -w {STOP_GRACE:g} -s 9; }}'
+            self.executor.run(host, _holder(data_dir, then=kill))
 
     def stop(self, host: str, admin: AdminClient, data_dir: Path, pid: int | None) -> bool:
         """Ask the node to stop, wait for pid to go, and kill -9 it if it does not; True if it escalated."""
@@ -93,14 +98,16 @@ class NodeLauncher:
         """Nothing to reap: nodes start detached, not as children of this process."""
 
 
-def _alive_test(data_dir: Path, pid: int | str) -> str:
-    """Shell test that holds while pid (a number, or a shell variable holding one) is the node process of data_dir.
+def _holder(data_dir: Path, then: str = ":") -> str:
+    """Shell that sets $p to the pid in data_dir's node.pid while a process holds its lock, else to '', then runs then.
 
-    Read the state, as kill -0 counts zombies as alive and in containers nothing reaps reparented children
-    promptly; and read the args, as the pid in a stale node.pid may since belong to any other process.
+    The probe takes a shared lock, so it never holds off another probe, and a
+    starting node retries past it. then runs with node.pid open on fd 9. A
+    node.pid that is missing, or that its node removed on exit, means no node:
+    the status is then 0, whatever then returned.
     """
-    own = shlex.quote(f" --data-dir {data_dir}")
+    pid_file = shlex.quote(str(NodePaths(data_dir).pid))
     return (
-        f"s=$(ps -ww -o state=,args= -p {pid} 2>/dev/null) && "
-        f"case $s in Z*) false ;; *chainyard.node*{own}) true ;; *) false ;; esac"
+        f"p=; {{ flock -n -s -E 75 9; [ $? = 75 ] && read -r p <&9; {then}; }} 2>/dev/null 9<{pid_file} "
+        f"|| test ! -e {pid_file}"
     )

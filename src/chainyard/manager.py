@@ -110,9 +110,6 @@ class NodeDefaults:
     max_block_txs: int = DEFAULT_MAX_BLOCK_TXS
 
 
-START_TIMEOUT = 15.0
-
-
 class NetworkManager:
     def __init__(
         self,
@@ -192,14 +189,21 @@ class NetworkManager:
         finally:
             Path(tmp_path).unlink(missing_ok=True)
 
-    def _each(self, nodes: Sequence[NodeSpec], fn: Callable[[NodeSpec], None]) -> None:
-        if self.parallel and len(nodes) > 1:
-            with ThreadPoolExecutor(max_workers=min(16, len(nodes))) as pool:
-                for future in [pool.submit(fn, node) for node in nodes]:
+    def _each(self, items: Sequence, fn: Callable) -> None:
+        if self.parallel and len(items) > 1:
+            with ThreadPoolExecutor(max_workers=min(16, len(items))) as pool:
+                for future in [pool.submit(fn, item) for item in items]:
                     future.result()
         else:
-            for node in nodes:
-                fn(node)
+            for item in items:
+                fn(item)
+
+    def _each_host(self, nodes: Iterable[NodeSpec], fn: Callable[[str, list[NodeSpec]], None]) -> None:
+        """fn(host, its nodes) once per host of nodes."""
+        hosts: dict[str, list[NodeSpec]] = {}
+        for node in nodes:
+            hosts.setdefault(node.host, []).append(node)
+        self._each(list(hosts.items()), lambda item: fn(*item))
 
     def _timed(self, phase: Phase, body: Callable[[], None]) -> PhaseTiming:
         started = time.perf_counter()
@@ -314,25 +318,30 @@ class NetworkManager:
         raise ValueError(f"targets must be 'clients' or 'miners', got {targets!r}")
 
     def start(self, targets: str) -> PhaseTiming:
+        """Start the target nodes: one launch per host, which returns once each of its nodes serves admin."""
         nodes, phase = self._select_targets(targets, Phase.CLIENTS_START, Phase.MINER_START)
 
-        def start_one(node: NodeSpec) -> None:
-            directory = self.node_dir(node.name)
-            if not self._probe(node.host, f"test -f {shlex.quote(str(NodePaths(directory).genesis))}"):
-                raise NotCreated(f"node {node.name!r}: not created/distributed (no genesis in {directory})")
-            client = self.admin(node, timeout=0.5)
-            if client.is_up(timeout=0.5):
-                if not self.force:
-                    raise AlreadyRunning(f"node {node.name!r} is already running")
-                self._kill_node(node)
+        def start_host(host: str, group: list[NodeSpec]) -> None:
+            names = {self.node_dir(n.name): n.name for n in group}
+            checks = [
+                f"test -f {shlex.quote(str(NodePaths(d).genesis))} || echo {shlex.quote(n)}" for d, n in names.items()
+            ]
+            missing = self._run(host, "; ".join(checks)).split()
+            if missing:
+                directory = self.node_dir(missing[0])
+                raise NotCreated(f"node {missing[0]!r}: not created/distributed (no genesis in {directory})")
+            for node in group:
+                if self.admin(node, timeout=0.5).is_up(timeout=0.5):
+                    if not self.force:
+                        raise AlreadyRunning(f"node {node.name!r} is already running")
+                    self._kill_node(node)
             try:
-                self.launcher.start(node.host, directory)
+                self.launcher.start(host, list(names))
             except LaunchFailed as exc:
-                raise ExecutorFailure(node.host, str(exc)) from exc
-            if not self.launcher.await_ready(client, START_TIMEOUT):
-                raise ExecutorFailure(node.host, f"node {node.name!r} did not become ready within {START_TIMEOUT}s")
+                detail = "; ".join(f"node {names[d]!r} {why}" for d, why in exc.failed.items()) or str(exc)
+                raise ExecutorFailure(host, detail) from exc
 
-        return self._timed(phase, lambda: self._each(nodes, start_one))
+        return self._timed(phase, lambda: self._each_host(nodes, start_host))
 
     def network_connect(self) -> PhaseTiming:
         """Form the star: every client peers with every miner."""
@@ -350,11 +359,20 @@ class NetworkManager:
 
         return self._timed(Phase.NETWORK_CONNECT, lambda: self._each(self.config.clients, connect_one))
 
-    def _running_pid(self, node: NodeSpec) -> int | None:
-        return self.launcher.running_pid(node.host, self.node_dir(node.name))
+    def _running_pids(self) -> dict[str, int | None]:
+        """Each node's pid while it runs, else None: one lock probe per host."""
+        pids: dict[str, int | None] = {}
+
+        def probe(host: str, group: list[NodeSpec]) -> None:
+            found = self.launcher.running_pids(host, [self.node_dir(n.name) for n in group])
+            pids.update((n.name, found[self.node_dir(n.name)]) for n in group)
+
+        self._each_host(self.config.all_nodes(), probe)
+        return pids
 
     def _kill_node(self, node: NodeSpec) -> None:
-        self.launcher.kill(node.host, self.node_dir(node.name), self._running_pid(node))
+        directory = self.node_dir(node.name)
+        self.launcher.kill(node.host, directory, self.launcher.running_pid(node.host, directory))
 
     def _stop_one(self, node: NodeSpec, pid: int | None) -> None:
         started = time.perf_counter()
@@ -366,7 +384,7 @@ class NetworkManager:
         )
 
     def network_stop(self) -> PhaseTiming:
-        pids = {node.name: self._running_pid(node) for node in self.config.all_nodes()}
+        pids = self._running_pids()
         running = [n for n in self.config.all_nodes() if self._node_running(n, pids[n.name])]
         if not running:
             raise NotRunning("no nodes of this network are running")
@@ -376,17 +394,27 @@ class NetworkManager:
         return pid is not None or self.admin(node).is_up(timeout=0.3)
 
     def network_delete(self) -> PhaseTiming:
+        """Remove every node directory and the configuration directory: one probe and one rm per host.
+
+        The rm syncs the host's filesystem before it returns. Else the removals
+        of several quick create..delete cycles pile up in one ext4 journal
+        commit, and a file created by the next create waits behind it.
+        """
         if not self.config_dir().exists():
             raise NotCreated(f"{self.config_dir()} does not exist")
-        alive = [n.name for n in self.config.all_nodes() if self._node_running(n, self._running_pid(n))]
+        pids = self._running_pids()
+        alive = [n.name for n in self.config.all_nodes() if self._node_running(n, pids[n.name])]
         if alive and not self.force:
             raise ManagerError(f"refusing to delete while nodes run: {', '.join(sorted(alive))} (stop first)")
 
+        def delete_host(host: str, group: list[NodeSpec]) -> None:
+            for node in group:
+                self.launcher.kill(host, self.node_dir(node.name), pids[node.name])  # a pid gets here only with force
+            dirs = " ".join(shlex.quote(str(self.node_dir(n.name))) for n in group)
+            self._run(host, f"rm -rf {dirs} && sync -f {shlex.quote(str(self.workspace))}")
+
         def body() -> None:
-            for node in self.config.all_nodes():
-                if self.force:
-                    self._kill_node(node)
-                self._run(node.host, f"rm -rf {shlex.quote(str(self.node_dir(node.name)))}")
+            self._each_host(self.config.all_nodes(), delete_host)
             self._run("localhost", f"rm -rf {shlex.quote(str(self.config_dir()))}")
 
         return self._timed(Phase.NETWORK_DELETE, body)

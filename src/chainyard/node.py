@@ -8,9 +8,11 @@ A node runs from a data directory prepared by the manager:
     blocks.log     append-only canonical-JSON block per line
     mempool.json   pending transaction journal, written from the node's first run on
     peers.json     known peer endpoints, re-joined on restart
-    node.pid       pid of the running process
+    node.pid       pid of the running process, which holds an exclusive flock on it
 
-Runnable standalone: ``python -m chainyard.node --data-dir DIR``.
+Runnable standalone: ``python -m chainyard.node --data-dir DIR``. With
+``--detach`` and one ``--data-dir`` per node, one interpreter forks a
+background node per directory and returns once each serves admin.
 
 Fault modes replicate failure behaviors seen in real deployments:
 ``stall_mempool`` keeps mining blocks but never includes (or forwards)
@@ -21,9 +23,11 @@ until the client gives up.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import logging
 import os
+import select
 import signal
 import socketserver
 import sys
@@ -32,6 +36,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from queue import SimpleQueue
+from typing import Callable
 
 from . import chain as chainmod
 from .chain import Block, Chain, Transaction
@@ -46,10 +51,17 @@ SYNC_BATCH = 500
 HELLO_TIMEOUT = 3.0  # seconds a peer gets to answer a hello; a restarted node serves admin after this at most
 
 DEFAULT_BLOCK_INTERVAL = 0.25
+START_TIMEOUT = 15.0  # seconds a detached node has to serve admin before its launcher kills it
+LOCK_WAIT = 0.5  # seconds a starting node retries a held node.pid lock: a probe holds it far less
+READY = b"R"  # what a detached node writes to its launcher once it serves admin
 
 
 class PortInUse(OSError):
     pass
+
+
+class NodeRunning(OSError):
+    """Another live process holds the data directory's node.pid lock."""
 
 
 class GenesisMismatch(RuntimeError):
@@ -326,8 +338,10 @@ class NodeRuntime:
                 self._blocks_handle = None
         logger.info("%s: stopped at height %d", self.identity.name, self.chain.height)
 
-    def run_until_stopped(self) -> None:
+    def run_until_stopped(self, on_ready: Callable[[], None] | None = None) -> None:
         self.start()
+        if on_ready is not None:
+            on_ready()
         try:
             while not self.stop_event.wait(0.2):
                 pass
@@ -625,47 +639,166 @@ class _AdminFault(RuntimeError):
         self.code = code
 
 
+def _lock_pid_file(path: Path) -> int:
+    """Take the exclusive flock on node.pid, write this process's pid into it, and return the fd.
+
+    The lock lasts as long as the process, zombie state excluded, so a
+    holder is a live node and a stale pid is locked by nobody. Probes take
+    a shared lock for an instant, so a held lock is retried for LOCK_WAIT.
+    A lock on a file that its exiting node has just unlinked is dropped
+    and taken again on the file now at the path.
+    """
+    deadline = time.monotonic() + LOCK_WAIT
+    while True:
+        fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_CLOEXEC, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            if os.path.samestat(os.fstat(fd), os.stat(path)):
+                os.ftruncate(fd, 0)  # first, so a probe never reads a mix of two pids
+                os.write(fd, str(os.getpid()).encode())
+                return fd
+        except (BlockingIOError, FileNotFoundError):
+            pass
+        except BaseException:
+            os.close(fd)
+            raise
+        os.close(fd)
+        if time.monotonic() >= deadline:
+            raise NodeRunning(f"{path} is locked: a node already runs on this data directory")
+        time.sleep(0.01)
+
+
+def run_node(data_dir: Path, on_ready: Callable[[], None] | None = None) -> int:
+    """Run the node of data_dir until it is stopped; return the process exit status.
+
+    The node.pid lock comes first: a second node on a running directory
+    exits before it reads or writes any other file of it.
+    """
+    paths = NodePaths(data_dir)
+    try:
+        lock = _lock_pid_file(paths.pid)
+    except NodeRunning as exc:
+        logger.error("%s", exc)
+        return 5
+    except OSError as exc:
+        logger.error("cannot initialize node: %s", exc)
+        return 1
+    try:
+        try:
+            runtime = NodeRuntime(data_dir)
+        except GenesisMismatch as exc:
+            logger.error("genesis mismatch: %s", exc)
+            return 3
+        except (OSError, ValueError) as exc:
+            logger.error("cannot initialize node: %s", exc)
+            return 1
+
+        def _on_signal(signum, _frame):
+            logger.info("signal %d: stopping", signum)
+            runtime.request_stop()
+
+        signal.signal(signal.SIGTERM, _on_signal)
+        signal.signal(signal.SIGINT, _on_signal)
+        try:
+            runtime.run_until_stopped(on_ready)
+        except PortInUse as exc:
+            logger.error("%s", exc)
+            return 4
+        return 0
+    finally:
+        paths.pid.unlink(missing_ok=True)  # still under the lock, so never a later node's file
+        os.close(lock)
+
+
+def _forked_node(data_dir: Path, ready_fd: int) -> int:
+    """The body of a detached node, run in the child right after the fork."""
+    signal.signal(signal.SIGHUP, signal.SIG_IGN)  # as nohup: it outlives the session that started it
+    null = os.open(os.devnull, os.O_RDONLY)
+    log = os.open(NodePaths(data_dir).log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    os.dup2(null, 0)
+    os.dup2(log, 1)
+    os.dup2(log, 2)
+    # Keep no descriptor of the launcher's: the read end of this pipe, or any the launcher inherited itself.
+    os.closerange(3, ready_fd)
+    os.closerange(ready_fd + 1, os.sysconf("SC_OPEN_MAX"))
+
+    def ready() -> None:
+        try:
+            os.write(ready_fd, READY)
+        except OSError:
+            pass  # a launcher that is gone leaves the node running, as nohup would
+        os.close(ready_fd)
+
+    return run_node(data_dir, ready)
+
+
+def launch(data_dirs: list[Path]) -> int:
+    """Fork one background node per data directory, all from this one interpreter.
+
+    The nodes start one at a time: each is forked once the one before it
+    serves admin, or has failed. A node gets START_TIMEOUT to serve admin,
+    or it is killed. Each node's pid is printed under "started", and each
+    failure's exit status under "failed", as one JSON object on the last
+    line. The parent opens no lock and no socket, so a child inherits none.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    started: dict[str, int] = {}
+    failed: dict[str, str] = {}
+    for data_dir in data_dirs:
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                status = _forked_node(data_dir, write_fd)
+            except Exception:
+                logger.exception("%s: node failed", data_dir)
+            finally:  # the child never returns into the launcher's loop
+                logging.shutdown()
+                os._exit(status)
+        os.close(write_fd)
+        if not select.select([read_fd], [], [], START_TIMEOUT)[0]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            failed[str(data_dir)] = f"did not serve admin within {START_TIMEOUT:g}s and was killed"
+        elif os.read(read_fd, 1) == READY:
+            started[str(data_dir)] = pid
+        else:  # the pipe closed empty: the node exited before it served admin
+            failed[str(data_dir)] = _exit_text(os.waitpid(pid, 0)[1])
+        os.close(read_fd)
+    print(json.dumps({"started": started, "failed": failed}), flush=True)
+    return 1 if failed else 0
+
+
+def _exit_text(wait_status: int) -> str:
+    code = os.waitstatus_to_exitcode(wait_status)
+    return f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="chainyard-node", description="Run a simulated blockchain node")
-    parser.add_argument("--data-dir", required=True, help="node data directory prepared by the manager")
+    parser.add_argument(
+        "--data-dir", required=True, action="append", help="node data directory prepared by the manager"
+    )
+    parser.add_argument(
+        "--detach",
+        action="store_true",
+        help="fork one background node per --data-dir; return once each serves admin, or name those that failed",
+    )
     parser.add_argument("--log-level", default="INFO")
     args = parser.parse_args(argv)
+    if len(args.data_dir) > 1 and not args.detach:
+        parser.error("several --data-dir need --detach")
 
     logging.basicConfig(
         level=getattr(logging, args.log_level.upper(), logging.INFO),
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )
-    data_dir = Path(args.data_dir)
-    try:
-        runtime = NodeRuntime(data_dir)
-    except GenesisMismatch as exc:
-        logger.error("genesis mismatch: %s", exc)
-        return 3
-    except (OSError, ValueError) as exc:
-        logger.error("cannot initialize node: %s", exc)
-        return 1
-
-    paths = NodePaths(data_dir)
-    paths.pid.write_text(str(os.getpid()), encoding="utf-8")
-
-    def _on_signal(signum, _frame):
-        logger.info("signal %d: stopping", signum)
-        runtime.request_stop()
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
-
-    try:
-        runtime.run_until_stopped()
-    except PortInUse as exc:
-        logger.error("%s", exc)
-        return 4
-    finally:
-        try:
-            paths.pid.unlink(missing_ok=True)
-        except OSError:
-            pass
-    return 0
+    data_dirs = [Path(d) for d in args.data_dir]
+    if args.detach:
+        os._exit(launch(data_dirs))  # its report is flushed and its nodes run on: skip the interpreter's teardown
+    return run_node(data_dirs[0])
 
 
 if __name__ == "__main__":

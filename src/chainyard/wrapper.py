@@ -30,7 +30,7 @@ from typing import Callable, Iterable
 from .canonical import sha256_hex
 from .chain import DEFAULT_TX_COST, Transaction, make_transaction
 from .genesis import read_genesis
-from .launcher import NodeLauncher
+from .launcher import LaunchFailed, NodeLauncher
 from .node import NodeIdentity, NodePaths
 from .protocol import (
     AdminClient,
@@ -209,7 +209,6 @@ class NodeWrapper:
     unresponsive_threshold = 3  # consecutive admin timeouts before the node counts as unresponsive
     max_restarts = 5  # restart attempts per recovery
     backoff_base = 0.2  # seconds before the second restart attempt, doubling after it
-    ready_timeout = 8.0  # seconds a restarted node has to answer its admin port
     offchain_retries = 2  # retries of an off-chain send after its first attempt
 
     def __init__(
@@ -219,7 +218,7 @@ class NodeWrapper:
         auto_recover: bool = True,
         launcher: NodeLauncher | None = None,
     ):
-        self.paths = NodePaths(Path(data_dir).resolve())  # the launcher matches the node by it
+        self.paths = NodePaths(Path(data_dir).resolve())
         self.identity = NodeIdentity.load(self.paths.node_json)
         self.expected_genesis_hash = read_genesis(self.paths.genesis).genesis_hash
         self.account = self.identity.account
@@ -482,10 +481,10 @@ class NodeWrapper:
             attempts += 1
             if attempts > 1:
                 time.sleep(self.backoff_base * (2 ** (attempts - 2)))
-            pid = self.launcher.start(host, root)
-            if not self.launcher.await_ready(self.admin, self.ready_timeout):
-                logger.warning("%s: restart attempt %d did not become ready", self.name, attempts)
-                self.launcher.kill(host, root, pid)
+            try:
+                self.launcher.start(host, [root])
+            except LaunchFailed as exc:
+                logger.warning("%s: restart attempt %d failed: %s", self.name, attempts, exc)
                 continue
             try:
                 status = self.admin.status()

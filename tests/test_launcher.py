@@ -1,0 +1,195 @@
+"""One launch of several nodes, and liveness told by the node.pid lock."""
+
+from __future__ import annotations
+
+import fcntl
+import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+from chainyard.executor import LocalExecutor
+from chainyard.manager import ExecutorFailure, ManagerError, NetworkManager, NodeDefaults, make_bench_config
+from chainyard.node import NodePaths, meta_document
+from chainyard.protocol import AdminClient
+from conftest import BENCH_TEMPLATE, wait_until
+
+
+@pytest.fixture
+def created(tmp_path):
+    """Factory: a created (not started) local network; every node of it is stopped and deleted afterwards."""
+    managers: list[NetworkManager] = []
+
+    def create(prosumers: int = 2, executor=None):
+        config = make_bench_config(BENCH_TEMPLATE, prosumers, suffix=f"l{len(managers)}")
+        manager = NetworkManager(
+            config, tmp_path / "ws", executor=executor, node_defaults=NodeDefaults(block_interval=0.1)
+        )
+        managers.append(manager)
+        manager.network_create()
+        return manager, config
+
+    yield create
+    for manager in managers:
+        cleanup = NetworkManager(manager.config, manager.workspace, force=True)
+        for step in (cleanup.network_stop, cleanup.network_delete):
+            try:
+                step()
+            except ManagerError:
+                pass
+
+
+def fd_targets(pid: int) -> dict[int, str]:
+    fd_dir = Path(f"/proc/{pid}/fd")
+    return {int(fd): os.readlink(fd_dir / fd) for fd in os.listdir(fd_dir)}
+
+
+def test_one_launch_gives_each_node_its_own_pid_lock_and_log(created):
+    manager, config = created(prosumers=2)
+    nodes = config.all_nodes()
+    dirs = {node.name: manager.node_dir(node.name) for node in nodes}
+    pids = manager.launcher.start("127.0.0.1", list(dirs.values()))
+
+    # The launch has returned, and every node it started runs and serves admin.
+    assert len(set(pids.values())) == len(nodes)
+    assert manager.launcher.running_pids("127.0.0.1", list(dirs.values())) == pids
+    for node in nodes:
+        directory = dirs[node.name]
+        pid = pids[directory]
+        assert AdminClient(node.host, node.admin_port).is_up()
+        assert int(NodePaths(directory).pid.read_text()) == pid
+        targets = fd_targets(pid)
+        assert targets[0] == os.devnull
+        assert targets[1] == targets[2] == str(NodePaths(directory).log)
+        others = tuple(str(d) for name, d in dirs.items() if name != node.name)
+        assert not [t for t in targets.values() if t.startswith(others) or t.startswith("pipe:")], targets
+        log = NodePaths(directory).log.read_text()
+        assert f"{node.name} ({node.role}) up" in log
+        assert not [n.name for n in nodes if n is not node and f"{n.name} ({n.role}) up" in log]
+
+
+def test_kill_9_of_one_node_frees_its_lock_while_its_siblings_serve(created):
+    manager, config = created(prosumers=2)
+    nodes = config.all_nodes()
+    dirs = [manager.node_dir(node.name) for node in nodes]
+    pids = manager.launcher.start("127.0.0.1", dirs)
+    victim = dirs[1]
+    os.kill(pids[victim], signal.SIGKILL)
+    assert manager.launcher.await_gone("127.0.0.1", victim, pids[victim])
+    assert manager.launcher.running_pid("127.0.0.1", victim) is None
+    for node, directory in zip(nodes, dirs):
+        if directory != victim:
+            assert manager.launcher.running_pid("127.0.0.1", directory) == pids[directory]
+            assert AdminClient(node.host, node.admin_port).is_up()
+
+
+def test_probing_running_pid_during_a_start_never_fails_it(created):
+    manager, config = created(prosumers=5)
+    manager.start("miners")
+    dirs = [manager.node_dir(client.name) for client in config.clients]
+    for directory in dirs:
+        NodePaths(directory).pid.write_text("1")  # left by a node killed with -9: every probe locks it
+    done = threading.Event()
+    probes = []
+
+    def probe() -> None:
+        while not done.is_set():
+            for directory in dirs:
+                probes.append(manager.launcher.running_pid("127.0.0.1", directory))
+
+    probers = [threading.Thread(target=probe) for _ in range(3)]
+    for prober in probers:
+        prober.start()
+    try:
+        manager.start("clients")
+    finally:
+        done.set()
+        for prober in probers:
+            prober.join()
+    assert len(probes) >= len(dirs)
+    assert all(manager.launcher.running_pids("127.0.0.1", dirs).values())
+
+
+def test_a_start_waits_out_a_probe_that_holds_the_lock(created):
+    manager, _ = created(prosumers=1)
+    directory = manager.node_dir("prosumer1")
+    paths = NodePaths(directory)
+    paths.pid.write_text("1")
+    with paths.pid.open() as held:
+        fcntl.flock(held, fcntl.LOCK_SH)  # what a probe holds, here until the node has tried to lock
+
+        def release() -> None:
+            wait_until(paths.log.exists, message="node.log, opened just before the lock is tried")
+            time.sleep(0.05)
+            fcntl.flock(held, fcntl.LOCK_UN)
+
+        releaser = threading.Thread(target=release)
+        releaser.start()
+        try:
+            pids = manager.launcher.start("127.0.0.1", [directory])
+        finally:
+            releaser.join()
+    assert manager.launcher.running_pid("127.0.0.1", directory) == pids[directory]
+
+
+def test_a_node_that_dies_at_start_fails_its_phase_with_its_name_and_exit_status(created):
+    manager, config = created(prosumers=2)
+    NodePaths(manager.node_dir("prosumer1")).meta.write_text(json.dumps(meta_document("0" * 64)))
+    manager.start("miners")
+    with pytest.raises(ExecutorFailure) as failure:
+        manager.start("clients")
+    message = str(failure.value)
+    assert "'prosumer1' exited with status 3" in message
+    assert "prosumer2" not in message and "dso1" not in message
+
+
+def test_a_second_node_on_a_running_directory_changes_nothing(live_network):
+    manager, config = live_network(prosumers=1)
+    miner = config.miners[0]
+    client = next(c for c in config.clients if c.name == "prosumer1")
+    AdminClient(miner.host, miner.admin_port).set_mining(False)
+    height = lambda node: AdminClient(node.host, node.admin_port).block_number()  # noqa: E731
+    wait_until(lambda: height(client) == height(miner), message="client at the miner's height")
+    directory = manager.node_dir(client.name)
+    paths = NodePaths(directory)
+    pid_text, blocks = paths.pid.read_text(), paths.blocks.read_bytes()
+    running = manager.launcher.running_pid(client.host, directory)
+    assert running == int(pid_text)
+
+    second = subprocess.run(
+        [sys.executable, "-m", "chainyard.node", "--data-dir", str(directory)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        timeout=30,
+    )
+    assert second.returncode != 0
+    assert paths.pid.read_text() == pid_text
+    assert paths.blocks.read_bytes() == blocks
+    assert manager.launcher.running_pid(client.host, directory) == running
+    assert AdminClient(client.host, client.admin_port).is_up()
+
+
+class CountingExecutor(LocalExecutor):
+    def __init__(self):
+        self.commands: list[tuple[str, str]] = []
+
+    def run(self, host, command):
+        self.commands.append((host, command))
+        return super().run(host, command)
+
+
+def test_network_delete_asks_each_host_once(created):
+    executor = CountingExecutor()
+    manager, config = created(prosumers=3, executor=executor)
+    executor.commands.clear()
+    manager.network_delete()
+    hosts = [host for host, _ in executor.commands]
+    assert hosts.count("127.0.0.1") == 2  # one lock probe and one rm -rf over the host's node directories
+    assert hosts.count("localhost") == 1  # the configuration directory
+    assert not manager.config_dir().exists()

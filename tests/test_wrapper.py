@@ -250,7 +250,6 @@ def test_recovery_failed_after_max_restarts(wrapped):
     manager, config, wrappers = wrapped(auto_recover=False)
     wrapper = wrappers["prosumer1"]
     wrapper.max_restarts = 2
-    wrapper.ready_timeout = 1.0
     wrapper.backoff_base = 0.05
     # poison the data directory: a different (valid) genesis makes every restart exit
     other = make_bench_config(NetworkConfig("other", "1", GenesisParams(5, 16, 21000, 7), (), ()), 1, suffix="x")
