@@ -29,6 +29,7 @@ class Executor:
         raise NotImplementedError
 
     def put_file(self, host: str, local_path: str | Path, remote_path: str | Path) -> None:
+        """Copy local_path to remote_path on host, making remote_path's missing parent directories first."""
         raise NotImplementedError
 
 

@@ -12,9 +12,12 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .canonical import canonical_json, sha256_hex
-from .dsl import NetworkConfig, validate
+
+if TYPE_CHECKING:  # a node process reads genesis files and never imports the DSL
+    from .dsl import NetworkConfig
 
 ACCOUNT_DOMAIN_PREFIX = b"testnet-account-v1:"
 GENESIS_FILE = "genesis.json"  # its name in the workspace and in every node directory
@@ -87,6 +90,8 @@ class GenesisDocument:
 
 def make_genesis(config: NetworkConfig) -> GenesisDocument:
     """Validate the config, then build its genesis document: one allocation per client and per miner."""
+    from .dsl import validate
+
     report = validate(config)
     if not report.ok:
         codes = ", ".join(issue.code for issue in report.errors)

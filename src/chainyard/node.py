@@ -29,10 +29,12 @@ import logging
 import os
 import select
 import signal
+import socket
 import socketserver
 import sys
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from queue import SimpleQueue
@@ -423,8 +425,22 @@ class NodeRuntime:
         self._outbox.put((exclude, message))
 
     def _broadcast_loop(self) -> None:
-        while (item := self._outbox.get()) is not None:  # shutdown() enqueues the None
-            exclude, message = item
+        """Send gossip from one thread: every queued new_block before any queued new_tx, each kind in order.
+
+        A burst of txs, relayed to each peer in turn, would otherwise hold the
+        blocks mined meanwhile behind it, and the peers' heights would lag.
+        """
+        blocks: deque[tuple[tuple[str, int] | None, dict]] = deque()
+        txs: deque[tuple[tuple[str, int] | None, dict]] = deque()
+        while True:
+            items = [] if blocks or txs else [self._outbox.get()]
+            while not self._outbox.empty():  # this thread is the only reader
+                items.append(self._outbox.get())
+            for item in items:
+                if item is None:  # shutdown() enqueues the None
+                    return
+                (blocks if item[1]["kind"] == "new_block" else txs).append(item)
+            exclude, message = (blocks or txs).popleft()
             with self._lock:
                 targets = sorted(self.peers)
             for target in targets:
@@ -740,7 +756,12 @@ def launch(data_dirs: list[Path]) -> int:
     or it is killed. Each node's pid is printed under "started", and each
     failure's exit status under "failed", as one JSON object on the last
     line. The parent opens no lock and no socket, so a child inherits none.
+
+    The parent sets up the C library's resolver once, with one address
+    lookup that leaves no descriptor open, so that each node's first peer
+    connection does not pay for it again.
     """
+    socket.getaddrinfo("127.0.0.1", 0, type=socket.SOCK_STREAM)
     sys.stdout.flush()
     sys.stderr.flush()
     started: dict[str, int] = {}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 from pathlib import Path
@@ -221,6 +222,118 @@ def test_executor_failure_names_host(tmp_path):
     assert excinfo.value.host == "127.0.0.1"
 
 
+def test_a_failed_probe_is_an_executor_failure_never_a_verdict(tmp_path):
+    config = make_bench_config(BENCH_TEMPLATE, 1, suffix="c11b")
+    NetworkManager(config, tmp_path / "ws").blockchain_make()  # local: no host command
+    manager = NetworkManager(config, tmp_path / "ws", executor=FailingExecutor("127.0.0.1"))
+    for phase in (manager.clients_create, manager.blockchain_create, lambda: manager.distribute("clients")):
+        with pytest.raises(ExecutorFailure) as excinfo:  # not NotCreated, not AlreadyExists
+            phase()
+        assert excinfo.value.host == "127.0.0.1"
+
+
+class CountingExecutor(LocalExecutor):
+    """Records the host of every command it runs."""
+
+    def __init__(self):
+        self.hosts = []
+
+    @property
+    def calls(self):
+        return len(self.hosts)
+
+    def run(self, host, command):
+        self.hosts.append(host)
+        return super().run(host, command)
+
+
+def create_phase_calls(tmp_path, prosumers: int) -> dict[str, int]:
+    executor = CountingExecutor()
+    manager, _ = quick_manager(tmp_path, prosumers=prosumers, suffix=f"n{prosumers}", executor=executor)
+    calls = {}
+    for phase in (
+        manager.clients_create,
+        manager.miners_create,
+        manager.blockchain_make,
+        manager.blockchain_create,
+        lambda: manager.distribute("clients"),
+        lambda: manager.distribute("miners"),
+    ):
+        before = executor.calls
+        name = phase().phase
+        calls[name] = executor.calls - before
+    return calls
+
+
+def test_each_create_phase_asks_a_host_as_often_for_8_prosumers_as_for_2(tmp_path):
+    calls = create_phase_calls(tmp_path, 2)
+    assert calls == create_phase_calls(tmp_path, 8)
+    assert calls == {
+        "ClientsCreate": 1,
+        "MinersCreate": 1,
+        "BlockchainMake": 0,
+        "BlockchainCreate": 2,
+        "DistributeToClients": 2,
+        "DistributeToMiners": 2,
+    }
+
+
+def test_already_exists_names_the_first_existing_node_in_config_order(tmp_path):
+    manager, config = quick_manager(tmp_path, prosumers=3, suffix="c11c")
+    for name in ("prosumer3", "prosumer2"):
+        manager.node_dir(name).mkdir(parents=True)
+    with pytest.raises(AlreadyExists, match="node 'prosumer2'"):
+        manager.clients_create()
+    assert not manager.node_dir("prosumer1").exists()  # a refused create changes nothing
+
+
+def test_parallel_create_phases_ask_each_host_and_refuse_in_config_order(tmp_path):
+    config = make_bench_config(BENCH_TEMPLATE, 3, suffix="c11e")
+    hosts = ["host-a", "host-b", "host-a", "host-b"]  # prosumer1, prosumer2, prosumer3, dso1
+    config = dataclasses.replace(
+        config, clients=tuple(dataclasses.replace(c, host=h) for c, h in zip(config.clients, hosts))
+    )
+    executor = CountingExecutor()
+    manager = NetworkManager(config, tmp_path / "ws", executor=executor, parallel=True)
+    for name in ("prosumer3", "prosumer2"):  # on host-a, then on host-b
+        manager.node_dir(name).mkdir(parents=True)
+    with pytest.raises(AlreadyExists, match="node 'prosumer2'"):
+        manager.clients_create()
+    assert sorted(executor.hosts) == ["host-a", "host-b"]  # one probe per host, and no effect
+    assert not manager.node_dir("prosumer1").exists() and not manager.node_dir("dso1").exists()
+
+    forced = NetworkManager(config, tmp_path / "ws", executor=executor, parallel=True, force=True)
+    executor.hosts.clear()
+    forced.clients_create()
+    forced.blockchain_make()
+    forced.distribute("clients")
+    assert sorted(executor.hosts) == ["host-a"] * 4 + ["host-b"] * 4  # probe and rm, then probe and sha256sum
+    for client in config.clients:
+        assert (forced.node_dir(client.name) / "genesis.json").read_bytes() == forced.genesis_path().read_bytes()
+
+
+def test_distribute_names_the_one_wrong_copy_among_several(tmp_path):
+    config = make_bench_config(BENCH_TEMPLATE, 3, suffix="c10b")
+    manager = NetworkManager(config, tmp_path / "ws", executor=CorruptingExecutor("prosumer2"))
+    manager.clients_create()
+    manager.blockchain_make()
+    with pytest.raises(DistributeHashMismatch) as excinfo:
+        manager.distribute("clients")
+    assert excinfo.value.node == "prosumer2"
+
+
+def test_a_workspace_path_with_a_space_creates_distributes_and_verifies(tmp_path):
+    config = make_bench_config(BENCH_TEMPLATE, 2, suffix="c11d")
+    manager = NetworkManager(config, tmp_path / "my work space", force=True)
+    manager.network_create()
+    manager.network_create()  # forced: removes and remakes every directory and chain store
+    genesis = manager.genesis_path().read_bytes()
+    for node in config.all_nodes():
+        assert (manager.node_dir(node.name) / "genesis.json").read_bytes() == genesis
+        assert NodeIdentity.load(NodePaths(manager.node_dir(node.name)).node_json) == manager.node_identity(node)
+    assert (manager.node_dir("miner1") / "blocks.log").read_bytes() == b""
+
+
 def test_network_create_emits_seven_timings(tmp_path):
     manager, _ = quick_manager(tmp_path, prosumers=2, suffix="c12")
     timings = manager.network_create()
@@ -337,7 +450,7 @@ def test_blockchain_make_does_not_validate_a_second_time(tmp_path, monkeypatch):
     def refuse(_config):
         raise AssertionError("the genesis builder validated a config that ensure_valid had already validated")
 
-    monkeypatch.setattr("chainyard.genesis.validate", refuse)
+    monkeypatch.setattr("chainyard.dsl.validate", refuse)  # make_genesis imports it when called
     manager.blockchain_make()
     assert read_genesis(manager.genesis_path()).genesis_hash == expected
 

@@ -519,3 +519,45 @@ def test_load_blocks_reads_persisted_chain(tmp_path, boot):
     blocks = load_blocks(dirs["miner1"])
     assert blocks[0].block_hash == doc.genesis_hash
     assert len(blocks) >= 3
+
+
+def test_a_queued_block_goes_to_every_peer_before_the_next_queued_tx(tmp_path, monkeypatch):
+    _, _, dirs = deploy(tmp_path, suffix="w")
+    runtime = NodeRuntime(dirs["miner1"])  # never started: no socket, only the gossip thread below
+    runtime.peers = {("127.0.0.1", port) for port in (1, 2, 3)}
+    sends: list[tuple[int, str, int]] = []
+    first_send, release = threading.Event(), threading.Event()
+
+    def fake_framed_request(host, port, message, timeout):
+        if not first_send.is_set():
+            first_send.set()
+            release.wait(5)
+        sends.append((port, message["kind"], message["n"]))
+        return {"kind": "ok"}
+
+    monkeypatch.setattr("chainyard.node.framed_request", fake_framed_request)
+    sender = threading.Thread(target=runtime._broadcast_loop, daemon=True)
+    sender.start()
+    runtime._enqueue(None, {"kind": "new_tx", "n": 0})
+    assert first_send.wait(5)  # the first tx is being sent, and held
+    for n in range(1, 30):
+        runtime._enqueue(None, {"kind": "new_tx", "n": n})
+    runtime._enqueue(None, {"kind": "new_block", "n": 0})
+    release.set()
+    wait_until(lambda: len(sends) == 31 * 3, message="every message sent to every peer")
+    runtime._outbox.put(None)
+    sender.join(5)
+    assert not sender.is_alive()
+
+    last_block = max(i for i, (_, kind, _) in enumerate(sends) if kind == "new_block")
+    second_tx = min(i for i, (_, kind, n) in enumerate(sends) if kind == "new_tx" and n == 1)
+    assert last_block < second_tx, sends[:8]
+    txs = [n for _, kind, n in sends if kind == "new_tx"]
+    assert txs == sorted(txs)  # txs keep their order among themselves
+
+
+def test_a_node_process_imports_no_dsl_code():
+    probe = "import sys, chainyard.node; print('chainyard.dsl' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=30)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
