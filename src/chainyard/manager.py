@@ -6,13 +6,11 @@ can be killed between any two phases and re-run. Effects on hosts go
 exclusively through an Executor (run a command, copy a file); node
 control beyond that uses the nodes' admin protocol.
 
-A phase asks each host once about all of that host's nodes, and acts on
-them in at most one more command, plus one file copy per node: a create
-phase is one existence probe per host (the copies of ``node.json`` make
-the directories, and a forced create first removes the existing ones in
-one ``rm``), blockchain-create is one probe and one ``touch``, and a
-distribute phase is one probe and one ``sha256sum`` over the copies. The
-checks stay per node: each error names the node it is about.
+The create phases check and act node by node, with at least one host
+command per node, so their durations grow with the node count; a
+distribute phase probes each host's node directories in one command
+before it copies. Each error names the node it is about, and a probe
+that fails on its host raises ExecutorFailure naming the host.
 
 Phase names mirror the canonical benchmark vocabulary: ClientsCreate,
 MinersCreate, BlockchainMake, BlockchainCreate, DistributeToClients,
@@ -197,17 +195,16 @@ class NetworkManager:
             raise ExecutorFailure(host, f"existence probe exited {result.status}: {result.output.strip()}")
         return [answer == "=1" for answer in answers]
 
-    def _present(self, nodes: Sequence[NodeSpec], paths_of: Callable[[Path], list[Path]]) -> dict[str, list[bool]]:
-        """For each node, whether each of paths_of(its directory) exists: one probe per host."""
-        present: dict[str, list[bool]] = {}
+    def _probe(self, host: str, command: str) -> bool:
+        """Whether a `test` command holds on host: status 0 is yes, 1 is no.
 
-        def probe(host: str, group: list[NodeSpec]) -> None:
-            paths = [paths_of(self.node_dir(n.name)) for n in group]
-            answers = iter(self._exists(host, [p for node_paths in paths for p in node_paths]))
-            present.update((n.name, [next(answers) for _ in node_paths]) for n, node_paths in zip(group, paths))
-
-        self._each_host(nodes, probe)
-        return present
+        Any other status (ssh exits 255 when it cannot connect) raises
+        ExecutorFailure; a failed probe never reads as "it does not exist".
+        """
+        result = self.executor.run(host, command)
+        if result.status not in (0, 1):
+            raise ExecutorFailure(host, f"probe {command!r} exited {result.status}: {result.output.strip()}")
+        return result.status == 0
 
     def _put_json(self, host: str, payload: dict, remote_path: Path) -> None:
         with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as tmp:
@@ -246,33 +243,23 @@ class NetworkManager:
 
     # -- create phases ------------------------------------------------------
 
-    def _create(self, phase: Phase, nodes: Sequence[NodeSpec]) -> PhaseTiming:
-        """Make the nodes' directories, each with its node.json: one probe per host, and one rm if forced."""
-        self.ensure_valid()
-
-        def body() -> None:
-            present = self._present(nodes, lambda d: [d])
-            existing = [n for n in nodes if present[n.name][0]]
-            if existing and not self.force:
-                directory = self.node_dir(existing[0].name)
-                raise AlreadyExists(f"node {existing[0].name!r}: {directory} already exists (use force to recreate)")
-
-            def create_host(host: str, group: list[NodeSpec]) -> None:
-                old = [self.node_dir(n.name) for n in group if present[n.name][0]]
-                if old:
-                    self._run(host, f"rm -rf {_quoted(old)}")
-                for node in group:  # put_file makes each node directory
-                    self._put_json(host, self.node_identity(node).dump(), NodePaths(self.node_dir(node.name)).node_json)
-
-            self._each_host(nodes, create_host)
-
-        return self._timed(phase, body)
+    def _create_one(self, node: NodeSpec) -> None:
+        directory = self.node_dir(node.name)
+        quoted = shlex.quote(str(directory))
+        if self._probe(node.host, f"test -d {quoted}"):
+            if not self.force:
+                raise AlreadyExists(f"node {node.name!r}: {directory} already exists (use force to recreate)")
+            self._run(node.host, f"rm -rf {quoted}")
+        # The copy makes the node directory: put_file makes a path's missing parents.
+        self._put_json(node.host, self.node_identity(node).dump(), NodePaths(directory).node_json)
 
     def clients_create(self) -> PhaseTiming:
-        return self._create(Phase.CLIENTS_CREATE, self.config.clients)
+        self.ensure_valid()
+        return self._timed(Phase.CLIENTS_CREATE, lambda: self._each(self.config.clients, self._create_one))
 
     def miners_create(self) -> PhaseTiming:
-        return self._create(Phase.MINERS_CREATE, self.config.miners)
+        self.ensure_valid()
+        return self._timed(Phase.MINERS_CREATE, lambda: self._each(self.config.miners, self._create_one))
 
     def blockchain_make(self) -> PhaseTiming:
         """Produce the genesis document from the network document (idempotent)."""
@@ -294,56 +281,55 @@ class NetworkManager:
         if not self.genesis_path().exists():
             raise MissingGenesis(f"{self.genesis_path()} missing: run blockchain-make first")
         genesis_hash = json.loads(self.genesis_path().read_text(encoding="utf-8"))["genesisHash"]
-        miners = self.config.miners
 
-        def body() -> None:
-            present = self._present(miners, lambda d: [d, NodePaths(d).blocks])
-            for node in miners:
-                created, initialized = present[node.name]
-                if not created:
-                    directory = self.node_dir(node.name)
-                    raise NotCreated(f"miner {node.name!r}: {directory} missing (run miners-create first)")
-                if initialized and not self.force:
+        def init_one(node: NodeSpec) -> None:
+            directory = self.node_dir(node.name)
+            if not self._probe(node.host, f"test -d {shlex.quote(str(directory))}"):
+                raise NotCreated(f"miner {node.name!r}: {directory} missing (run miners-create first)")
+            paths = NodePaths(directory)
+            blocks = shlex.quote(str(paths.blocks))
+            if self._probe(node.host, f"test -e {blocks}"):
+                if not self.force:
                     raise AlreadyExists(f"miner {node.name!r}: chain store already initialized")
+                self._run(node.host, f"rm -f {blocks} {shlex.quote(str(paths.mempool))}")
+            self._run(node.host, f"touch {blocks}")
+            self._put_json(node.host, meta_document(genesis_hash), paths.meta)
 
-            def init_host(host: str, group: list[NodeSpec]) -> None:
-                paths = [NodePaths(self.node_dir(n.name)) for n in group]
-                stale = [f for n, p in zip(group, paths) if present[n.name][1] for f in (p.blocks, p.mempool)]
-                blocks = _quoted(p.blocks for p in paths)
-                self._run(host, (f"rm -f {_quoted(stale)} && " if stale else "") + f"touch {blocks}")
-                for node_paths in paths:
-                    self._put_json(host, meta_document(genesis_hash), node_paths.meta)
-
-            self._each_host(miners, init_host)
-
-        return self._timed(Phase.BLOCKCHAIN_CREATE, body)
+        return self._timed(Phase.BLOCKCHAIN_CREATE, lambda: self._each(self.config.miners, init_one))
 
     def distribute(self, targets: str) -> PhaseTiming:
-        """Copy the genesis file to every target node, then check each copy's digest: two host commands per host."""
+        """Copy the genesis file to every target node, digest-verified after copy.
+
+        One directory probe per host, then one copy and one sha256sum per node.
+        """
         nodes, phase = self._select_targets(targets, Phase.DISTRIBUTE_TO_CLIENTS, Phase.DISTRIBUTE_TO_MINERS)
         if not self.genesis_path().exists():
             raise MissingGenesis(f"{self.genesis_path()} missing: run blockchain-make first")
         source_digest = hashlib.sha256(self.genesis_path().read_bytes()).hexdigest()
 
-        def copy_host(host: str, group: list[NodeSpec]) -> None:
-            copies = [NodePaths(self.node_dir(n.name)).genesis for n in group]
-            for copy in copies:
-                self.executor.put_file(host, self.genesis_path(), copy)
-            # One line per copy, in argument order; a name with a backslash or newline gets a leading backslash.
-            output = self._run(host, f"sha256sum {_quoted(copies)}")
-            digests = [line.split()[0].lstrip("\\") for line in output.splitlines() if line.strip()]
-            digests += [""] * (len(copies) - len(digests))  # a copy with no digest line fails too
-            for node, digest in zip(group, digests):
-                if digest != source_digest:
-                    message = f"copied genesis digest {digest} != source {source_digest}"
-                    raise DistributeHashMismatch(node.name, message)
+        missing: set[str] = set()
+
+        def check_host(host: str, group: list[NodeSpec]) -> None:
+            present = self._exists(host, [self.node_dir(n.name) for n in group])
+            missing.update(n.name for n, found in zip(group, present) if not found)
+
+        def copy_one(node: NodeSpec) -> None:
+            destination = NodePaths(self.node_dir(node.name)).genesis
+            self.executor.put_file(node.host, self.genesis_path(), destination)
+            output = self._run(node.host, f"sha256sum {shlex.quote(str(destination))}")
+            copied_digest = output.split()[0] if output.split() else ""
+            if copied_digest != source_digest:
+                raise DistributeHashMismatch(
+                    node.name, f"copied genesis digest {copied_digest} != source {source_digest}"
+                )
 
         def body() -> None:
-            present = self._present(nodes, lambda d: [d])
-            missing = next((n for n in nodes if not present[n.name][0]), None)
-            if missing is not None:
-                raise NotCreated(f"node {missing.name!r}: {self.node_dir(missing.name)} missing (create it first)")
-            self._each_host(nodes, copy_host)
+            self._each_host(nodes, check_host)  # every directory is probed before any copy
+            first_missing = next((n for n in nodes if n.name in missing), None)
+            if first_missing is not None:
+                directory = self.node_dir(first_missing.name)
+                raise NotCreated(f"node {first_missing.name!r}: {directory} missing (create it first)")
+            self._each(nodes, copy_one)
 
         return self._timed(phase, body)
 

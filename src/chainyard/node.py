@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import itertools
 import json
 import logging
 import os
@@ -34,10 +35,9 @@ import socketserver
 import sys
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from queue import SimpleQueue
+from queue import PriorityQueue
 from typing import Callable
 
 from . import chain as chainmod
@@ -218,7 +218,9 @@ class NodeRuntime:
         self.stop_event = threading.Event()
 
         self._blocks_handle = None
-        self._outbox: SimpleQueue[tuple[tuple[str, int] | None, dict] | None] = SimpleQueue()  # None ends gossip
+        # (rank, sequence, exclude, message): rank 0 ends gossip, then blocks, then txs; each rank in order
+        self._outbox: PriorityQueue[tuple[int, int, tuple[str, int] | None, dict | None]] = PriorityQueue()
+        self._outbox_sequence = itertools.count()
         self._admin_server: Server | None = None
         self._peer_server: Server | None = None
 
@@ -327,7 +329,7 @@ class NodeRuntime:
     def shutdown(self) -> None:
         logger.info("%s: shutting down", self.identity.name)
         self.stop_event.set()
-        self._outbox.put(None)
+        self._outbox.put((0, next(self._outbox_sequence), None, None))
         for server in (self._admin_server, self._peer_server):
             if server is not None:
                 server.stop()
@@ -422,7 +424,8 @@ class NodeRuntime:
     # -- gossip ----------------------------------------------------------------
 
     def _enqueue(self, exclude: tuple[str, int] | None, message: dict) -> None:
-        self._outbox.put((exclude, message))
+        rank = 1 if message["kind"] == "new_block" else 2
+        self._outbox.put((rank, next(self._outbox_sequence), exclude, message))
 
     def _broadcast_loop(self) -> None:
         """Send gossip from one thread: every queued new_block before any queued new_tx, each kind in order.
@@ -430,17 +433,8 @@ class NodeRuntime:
         A burst of txs, relayed to each peer in turn, would otherwise hold the
         blocks mined meanwhile behind it, and the peers' heights would lag.
         """
-        blocks: deque[tuple[tuple[str, int] | None, dict]] = deque()
-        txs: deque[tuple[tuple[str, int] | None, dict]] = deque()
-        while True:
-            items = [] if blocks or txs else [self._outbox.get()]
-            while not self._outbox.empty():  # this thread is the only reader
-                items.append(self._outbox.get())
-            for item in items:
-                if item is None:  # shutdown() enqueues the None
-                    return
-                (blocks if item[1]["kind"] == "new_block" else txs).append(item)
-            exclude, message = (blocks or txs).popleft()
+        while (item := self._outbox.get())[0] > 0:  # shutdown() queues rank 0, ahead of any gossip
+            _, _, exclude, message = item
             with self._lock:
                 targets = sorted(self.peers)
             for target in targets:

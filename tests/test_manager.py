@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 from pathlib import Path
@@ -232,84 +231,12 @@ def test_a_failed_probe_is_an_executor_failure_never_a_verdict(tmp_path):
         assert excinfo.value.host == "127.0.0.1"
 
 
-class CountingExecutor(LocalExecutor):
-    """Records the host of every command it runs."""
-
-    def __init__(self):
-        self.hosts = []
-
-    @property
-    def calls(self):
-        return len(self.hosts)
-
-    def run(self, host, command):
-        self.hosts.append(host)
-        return super().run(host, command)
-
-
-def create_phase_calls(tmp_path, prosumers: int) -> dict[str, int]:
-    executor = CountingExecutor()
-    manager, _ = quick_manager(tmp_path, prosumers=prosumers, suffix=f"n{prosumers}", executor=executor)
-    calls = {}
-    for phase in (
-        manager.clients_create,
-        manager.miners_create,
-        manager.blockchain_make,
-        manager.blockchain_create,
-        lambda: manager.distribute("clients"),
-        lambda: manager.distribute("miners"),
-    ):
-        before = executor.calls
-        name = phase().phase
-        calls[name] = executor.calls - before
-    return calls
-
-
-def test_each_create_phase_asks_a_host_as_often_for_8_prosumers_as_for_2(tmp_path):
-    calls = create_phase_calls(tmp_path, 2)
-    assert calls == create_phase_calls(tmp_path, 8)
-    assert calls == {
-        "ClientsCreate": 1,
-        "MinersCreate": 1,
-        "BlockchainMake": 0,
-        "BlockchainCreate": 2,
-        "DistributeToClients": 2,
-        "DistributeToMiners": 2,
-    }
-
-
 def test_already_exists_names_the_first_existing_node_in_config_order(tmp_path):
     manager, config = quick_manager(tmp_path, prosumers=3, suffix="c11c")
     for name in ("prosumer3", "prosumer2"):
         manager.node_dir(name).mkdir(parents=True)
     with pytest.raises(AlreadyExists, match="node 'prosumer2'"):
         manager.clients_create()
-    assert not manager.node_dir("prosumer1").exists()  # a refused create changes nothing
-
-
-def test_parallel_create_phases_ask_each_host_and_refuse_in_config_order(tmp_path):
-    config = make_bench_config(BENCH_TEMPLATE, 3, suffix="c11e")
-    hosts = ["host-a", "host-b", "host-a", "host-b"]  # prosumer1, prosumer2, prosumer3, dso1
-    config = dataclasses.replace(
-        config, clients=tuple(dataclasses.replace(c, host=h) for c, h in zip(config.clients, hosts))
-    )
-    executor = CountingExecutor()
-    manager = NetworkManager(config, tmp_path / "ws", executor=executor, parallel=True)
-    for name in ("prosumer3", "prosumer2"):  # on host-a, then on host-b
-        manager.node_dir(name).mkdir(parents=True)
-    with pytest.raises(AlreadyExists, match="node 'prosumer2'"):
-        manager.clients_create()
-    assert sorted(executor.hosts) == ["host-a", "host-b"]  # one probe per host, and no effect
-    assert not manager.node_dir("prosumer1").exists() and not manager.node_dir("dso1").exists()
-
-    forced = NetworkManager(config, tmp_path / "ws", executor=executor, parallel=True, force=True)
-    executor.hosts.clear()
-    forced.clients_create()
-    forced.blockchain_make()
-    forced.distribute("clients")
-    assert sorted(executor.hosts) == ["host-a"] * 4 + ["host-b"] * 4  # probe and rm, then probe and sha256sum
-    for client in config.clients:
-        assert (forced.node_dir(client.name) / "genesis.json").read_bytes() == forced.genesis_path().read_bytes()
 
 
 def test_distribute_names_the_one_wrong_copy_among_several(tmp_path):

@@ -545,7 +545,7 @@ def test_a_queued_block_goes_to_every_peer_before_the_next_queued_tx(tmp_path, m
     runtime._enqueue(None, {"kind": "new_block", "n": 0})
     release.set()
     wait_until(lambda: len(sends) == 31 * 3, message="every message sent to every peer")
-    runtime._outbox.put(None)
+    runtime.shutdown()  # ends gossip ahead of anything still queued
     sender.join(5)
     assert not sender.is_alive()
 
