@@ -32,12 +32,15 @@ class LaunchFailed(RuntimeError):
         self.failed = failed or {}  # data directory -> why its node did not start
 
 
+class ProbeFailed(RuntimeError):
+    """A lock probe failed on its host (ssh exits 255 when it cannot connect): it never reads as "not running"."""
+
+
 class NodeLauncher:
     """Starts, probes and stops the nodes of data directories on their host."""
 
-    def __init__(self, executor: Executor | None = None, python_cmd: str | None = None):
+    def __init__(self, executor: Executor | None = None):
         self.executor = executor or LocalExecutor()
-        self.python_cmd = python_cmd or sys.executable
 
     def start(self, host: str, data_dirs: Sequence[Path]) -> dict[Path, int]:
         """Start the nodes of data_dirs in the background, from one interpreter; return each one's pid.
@@ -46,7 +49,7 @@ class NodeLauncher:
         node that exited or did not serve admin in time; the others keep running.
         """
         dirs = " ".join(f"--data-dir {shlex.quote(str(d))}" for d in data_dirs)
-        command = f"{shlex.quote(self.python_cmd)} -m chainyard.node --detach {dirs}"
+        command = f"{shlex.quote(sys.executable)} -m chainyard.node --detach {dirs}"
         result = self.executor.run(host, command)
         try:
             report = json.loads(result.output.strip().splitlines()[-1])  # the launch's last line
@@ -61,16 +64,15 @@ class NodeLauncher:
     def running_pids(self, host: str, data_dirs: Sequence[Path]) -> dict[Path, int | None]:
         """Each directory's node pid if a live node holds its node.pid, else None: one host command."""
         probes = "; ".join(f'{_holder(d)}; echo "=$p"' for d in data_dirs)
-        lines = [line[1:] for line in self.executor.run(host, probes).output.splitlines() if line.startswith("=")]
-        lines += [""] * (len(data_dirs) - len(lines))
+        result = self.executor.run(host, probes)
+        lines = [line[1:] for line in result.output.splitlines() if line.startswith("=")]
+        if result.status != 0 or len(lines) < len(data_dirs):
+            raise ProbeFailed(f"lock probe exited {result.status}: {result.output.strip()}")
         return {d: int(p) if p.isdigit() else None for d, p in zip(data_dirs, lines)}
 
     def running_pid(self, host: str, data_dir: Path) -> int | None:
         """The pid in node.pid if it is this node's live process, else None: one host command."""
         return self.running_pids(host, [data_dir])[data_dir]
-
-    def is_alive(self, host: str, data_dir: Path, pid: int) -> bool:
-        return self.executor.run(host, f'{_holder(data_dir)}; [ "$p" = {pid} ]').status == 0
 
     def await_gone(self, host: str, data_dir: Path, pid: int) -> bool:
         """Wait on the host, up to STOP_GRACE, until pid no longer holds the lock; False if it outlived the wait."""

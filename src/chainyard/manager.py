@@ -6,11 +6,13 @@ can be killed between any two phases and re-run. Effects on hosts go
 exclusively through an Executor (run a command, copy a file); node
 control beyond that uses the nodes' admin protocol.
 
-The create phases check and act node by node, with at least one host
-command per node, so their durations grow with the node count; a
-distribute phase probes each host's node directories in one command
-before it copies. Each error names the node it is about, and a probe
-that fails on its host raises ExecutorFailure naming the host.
+Each host question is asked one way: paths exist by one ``_exists`` probe,
+and a node runs exactly while it holds its ``node.pid`` lock (one
+``NodeLauncher.running_pids`` probe per host), never because some process
+answers on its admin port. The create phases act node by node, with at
+least one host command per node, so their durations grow with the node
+count. Each error names the node it is about, and a probe that fails on
+its host raises ExecutorFailure naming the host.
 
 Phase names mirror the canonical benchmark vocabulary: ClientsCreate,
 MinersCreate, BlockchainMake, BlockchainCreate, DistributeToClients,
@@ -26,7 +28,6 @@ import logging
 import shlex
 import socket
 import statistics
-import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -39,7 +40,7 @@ from .chain import DEFAULT_MAX_BLOCK_TXS
 from .dsl import NetworkConfig, NodeSpec, validate
 from .executor import Executor, LocalExecutor
 from .genesis import GENESIS_FILE, GenesisDocument, derive_account, write_genesis
-from .launcher import LaunchFailed, NodeLauncher
+from .launcher import LaunchFailed, NodeLauncher, ProbeFailed
 from .node import DEFAULT_BLOCK_INTERVAL, NodeIdentity, NodePaths, meta_document
 from .protocol import AdminClient, AdminError, AdminTimeout, AdminUnreachable
 
@@ -125,7 +126,6 @@ class NetworkManager:
         force: bool = False,
         parallel: bool = False,
         node_defaults: NodeDefaults | None = None,
-        python_cmd: str | None = None,
     ):
         self.config = config
         self.workspace = Path(workspace).resolve()
@@ -133,8 +133,8 @@ class NetworkManager:
         self.force = force
         self.parallel = parallel
         self.node_defaults = node_defaults or NodeDefaults()
-        self.python_cmd = python_cmd or sys.executable
-        self.launcher = NodeLauncher(self.executor, self.python_cmd)
+        self.launcher = NodeLauncher(self.executor)
+        self._node_dirs: dict[str, Path] = {}
 
     # -- workspace layout (derivable purely from config + root) -----------
 
@@ -142,10 +142,13 @@ class NetworkManager:
         return self.workspace / self.config.configuration_name
 
     def node_dir(self, name: str) -> Path:
-        path = (self.config_dir() / name).resolve()
-        if self.workspace not in path.parents:
-            raise ManagerError(f"node directory {path} escapes workspace {self.workspace}")
-        return path
+        """The node's directory, resolved once per name; it must lie in the configuration directory."""
+        if name not in self._node_dirs:
+            path = (self.config_dir() / name).resolve()
+            if path.parent != self.config_dir():  # the workspace is resolved, so this also keeps path inside it
+                raise ManagerError(f"node directory {path} escapes {self.config_dir()}")
+            self._node_dirs[name] = path
+        return self._node_dirs[name]
 
     def genesis_path(self) -> Path:
         return self.config_dir() / GENESIS_FILE
@@ -195,16 +198,22 @@ class NetworkManager:
             raise ExecutorFailure(host, f"existence probe exited {result.status}: {result.output.strip()}")
         return [answer == "=1" for answer in answers]
 
-    def _probe(self, host: str, command: str) -> bool:
-        """Whether a `test` command holds on host: status 0 is yes, 1 is no.
+    def _running_pids(self, nodes: Sequence[NodeSpec]) -> dict[str, int | None]:
+        """Each node's pid while it holds its node.pid lock, else None: one lock probe per host.
 
-        Any other status (ssh exits 255 when it cannot connect) raises
-        ExecutorFailure; a failed probe never reads as "it does not exist".
+        A probe that fails raises ExecutorFailure; it never reads as "not running".
         """
-        result = self.executor.run(host, command)
-        if result.status not in (0, 1):
-            raise ExecutorFailure(host, f"probe {command!r} exited {result.status}: {result.output.strip()}")
-        return result.status == 0
+        pids: dict[str, int | None] = {}
+
+        def probe(host: str, group: list[NodeSpec]) -> None:
+            try:
+                found = self.launcher.running_pids(host, [self.node_dir(n.name) for n in group])
+            except ProbeFailed as exc:
+                raise ExecutorFailure(host, str(exc)) from None
+            pids.update((n.name, found[self.node_dir(n.name)]) for n in group)
+
+        self._each_host(nodes, probe)
+        return pids
 
     def _put_json(self, host: str, payload: dict, remote_path: Path) -> None:
         with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as tmp:
@@ -245,11 +254,10 @@ class NetworkManager:
 
     def _create_one(self, node: NodeSpec) -> None:
         directory = self.node_dir(node.name)
-        quoted = shlex.quote(str(directory))
-        if self._probe(node.host, f"test -d {quoted}"):
+        if self._exists(node.host, [directory])[0]:
             if not self.force:
                 raise AlreadyExists(f"node {node.name!r}: {directory} already exists (use force to recreate)")
-            self._run(node.host, f"rm -rf {quoted}")
+            self._run(node.host, f"rm -rf {shlex.quote(str(directory))}")
         # The copy makes the node directory: put_file makes a path's missing parents.
         self._put_json(node.host, self.node_identity(node).dump(), NodePaths(directory).node_json)
 
@@ -284,11 +292,12 @@ class NetworkManager:
 
         def init_one(node: NodeSpec) -> None:
             directory = self.node_dir(node.name)
-            if not self._probe(node.host, f"test -d {shlex.quote(str(directory))}"):
-                raise NotCreated(f"miner {node.name!r}: {directory} missing (run miners-create first)")
             paths = NodePaths(directory)
+            created, initialized = self._exists(node.host, [directory, paths.blocks])
+            if not created:
+                raise NotCreated(f"miner {node.name!r}: {directory} missing (run miners-create first)")
             blocks = shlex.quote(str(paths.blocks))
-            if self._probe(node.host, f"test -e {blocks}"):
+            if initialized:
                 if not self.force:
                     raise AlreadyExists(f"miner {node.name!r}: chain store already initialized")
                 self._run(node.host, f"rm -f {blocks} {shlex.quote(str(paths.mempool))}")
@@ -367,11 +376,12 @@ class NetworkManager:
             missing = [d for d, found in zip(names, present) if not found]
             if missing:
                 raise NotCreated(f"node {names[missing[0]]!r}: not created/distributed (no genesis in {missing[0]})")
-            for node in group:
-                if self.admin(node, timeout=0.5).is_up(timeout=0.5):
-                    if not self.force:
-                        raise AlreadyRunning(f"node {node.name!r} is already running")
-                    self._kill_node(node)
+            pids = self._running_pids(group)
+            running = [n for n in group if pids[n.name] is not None]
+            if running and not self.force:
+                raise AlreadyRunning(f"node {running[0].name!r} is already running")
+            for node in running:
+                self.launcher.kill(host, self.node_dir(node.name), pids[node.name])
             try:
                 self.launcher.start(host, list(names))
             except LaunchFailed as exc:
@@ -396,22 +406,7 @@ class NetworkManager:
 
         return self._timed(Phase.NETWORK_CONNECT, lambda: self._each(self.config.clients, connect_one))
 
-    def _running_pids(self) -> dict[str, int | None]:
-        """Each node's pid while it runs, else None: one lock probe per host."""
-        pids: dict[str, int | None] = {}
-
-        def probe(host: str, group: list[NodeSpec]) -> None:
-            found = self.launcher.running_pids(host, [self.node_dir(n.name) for n in group])
-            pids.update((n.name, found[self.node_dir(n.name)]) for n in group)
-
-        self._each_host(self.config.all_nodes(), probe)
-        return pids
-
-    def _kill_node(self, node: NodeSpec) -> None:
-        directory = self.node_dir(node.name)
-        self.launcher.kill(node.host, directory, self.launcher.running_pid(node.host, directory))
-
-    def _stop_one(self, node: NodeSpec, pid: int | None) -> None:
+    def _stop_one(self, node: NodeSpec, pid: int) -> None:
         started = time.perf_counter()
         escalated = self.launcher.stop(node.host, self.admin(node), self.node_dir(node.name), pid)
         # The stop anomaly reported at larger network sizes makes per-node
@@ -421,14 +416,11 @@ class NetworkManager:
         )
 
     def network_stop(self) -> PhaseTiming:
-        pids = self._running_pids()
-        running = [n for n in self.config.all_nodes() if self._node_running(n, pids[n.name])]
+        pids = self._running_pids(self.config.all_nodes())
+        running = [n for n in self.config.all_nodes() if pids[n.name] is not None]
         if not running:
             raise NotRunning("no nodes of this network are running")
         return self._timed(Phase.NETWORK_STOP, lambda: self._each(running, lambda n: self._stop_one(n, pids[n.name])))
-
-    def _node_running(self, node: NodeSpec, pid: int | None) -> bool:
-        return pid is not None or self.admin(node).is_up(timeout=0.3)
 
     def network_delete(self) -> PhaseTiming:
         """Remove every node directory and the configuration directory: one probe and one rm per host.
@@ -439,8 +431,8 @@ class NetworkManager:
         """
         if not self.config_dir().exists():
             raise NotCreated(f"{self.config_dir()} does not exist")
-        pids = self._running_pids()
-        alive = [n.name for n in self.config.all_nodes() if self._node_running(n, pids[n.name])]
+        pids = self._running_pids(self.config.all_nodes())
+        alive = [n.name for n in self.config.all_nodes() if pids[n.name] is not None]
         if alive and not self.force:
             raise ManagerError(f"refusing to delete while nodes run: {', '.join(sorted(alive))} (stop first)")
 

@@ -31,6 +31,9 @@ class Server(socketserver.ThreadingTCPServer):
 
     allow_reuse_address = True
     daemon_threads = True
+    # socketserver's backlog of 5 drops SYNs from a burst of clients (a cleared
+    # interval's orders), and each dropped one waits out a 1 s retransmit.
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, address, handler):
         super().__init__(address, handler)

@@ -166,7 +166,7 @@ def live_network(tmp_path, request):
             pass
         for node in nodes:
             pid = pids[node.name]
-            if pid is not None and cleanup.launcher.is_alive(node.host, cleanup.node_dir(node.name), pid):
+            if pid is not None and cleanup.launcher.running_pid(node.host, cleanup.node_dir(node.name)) == pid:
                 leaked.append(f"{node.name} (pid {pid})")
                 cleanup.launcher.kill(node.host, cleanup.node_dir(node.name), pid)
     if leaked:

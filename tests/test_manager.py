@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 from pathlib import Path
@@ -12,6 +13,7 @@ from chainyard.genesis import make_genesis, read_genesis
 from chainyard.launcher import NodeLauncher
 from chainyard.manager import (
     AlreadyExists,
+    AlreadyRunning,
     DistributeHashMismatch,
     ExecutorFailure,
     ManagerError,
@@ -204,11 +206,14 @@ def test_distribute_detects_corrupted_copy(tmp_path):
 
 
 class FailingExecutor(LocalExecutor):
-    def __init__(self, bad_host: str):
+    """Fails the commands on bad_host that contain only (by default, all of them), as ssh does when it cannot connect."""
+
+    def __init__(self, bad_host: str, only: str = ""):
         self.bad_host = bad_host
+        self.only = only
 
     def run(self, host, command):
-        if host == self.bad_host:
+        if host == self.bad_host and self.only in command:
             return ExecResult(255, "ssh: connect to host failed")
         return super().run(host, command)
 
@@ -225,10 +230,34 @@ def test_a_failed_probe_is_an_executor_failure_never_a_verdict(tmp_path):
     config = make_bench_config(BENCH_TEMPLATE, 1, suffix="c11b")
     NetworkManager(config, tmp_path / "ws").blockchain_make()  # local: no host command
     manager = NetworkManager(config, tmp_path / "ws", executor=FailingExecutor("127.0.0.1"))
-    for phase in (manager.clients_create, manager.blockchain_create, lambda: manager.distribute("clients")):
-        with pytest.raises(ExecutorFailure) as excinfo:  # not NotCreated, not AlreadyExists
+    phases = (
+        manager.clients_create,
+        manager.blockchain_create,
+        lambda: manager.distribute("clients"),
+        lambda: manager.start("clients"),
+        manager.network_stop,
+        manager.network_delete,
+    )
+    for phase in phases:
+        with pytest.raises(ExecutorFailure) as excinfo:  # not NotCreated, AlreadyExists or NotRunning
             phase()
         assert excinfo.value.host == "127.0.0.1"
+
+
+def test_a_failed_lock_probe_is_an_executor_failure_never_not_running(tmp_path):
+    config = make_bench_config(BENCH_TEMPLATE, 1, suffix="c11e")
+    NetworkManager(config, tmp_path / "ws").network_create()  # created, never started
+    manager = NetworkManager(config, tmp_path / "ws", executor=FailingExecutor("127.0.0.1", only="flock"))
+    try:
+        for phase in (lambda: manager.start("miners"), manager.network_stop, manager.network_delete):
+            with pytest.raises(ExecutorFailure, match="lock probe") as excinfo:
+                phase()
+            assert excinfo.value.host == "127.0.0.1"
+        for node in config.all_nodes():
+            assert not NodePaths(manager.node_dir(node.name)).pid.exists()  # nothing launched
+            assert manager.node_dir(node.name).is_dir()  # nothing deleted
+    finally:
+        NetworkManager(config, tmp_path / "ws", force=True).network_delete()  # kills a node that a start launched anyway
 
 
 def test_already_exists_names_the_first_existing_node_in_config_order(tmp_path):
@@ -237,6 +266,34 @@ def test_already_exists_names_the_first_existing_node_in_config_order(tmp_path):
         manager.node_dir(name).mkdir(parents=True)
     with pytest.raises(AlreadyExists, match="node 'prosumer2'"):
         manager.clients_create()
+
+
+def test_a_plain_file_where_a_node_directory_belongs_exists(tmp_path):
+    manager, _ = quick_manager(tmp_path, suffix="c11f")
+    manager.config_dir().mkdir(parents=True)
+    manager.node_dir("prosumer1").write_text("not a directory")
+    with pytest.raises(AlreadyExists, match="node 'prosumer1'"):
+        manager.clients_create()
+    forced, _ = quick_manager(tmp_path, suffix="c11f", force=True)
+    forced.clients_create()  # removes the file and makes the directory
+    assert NodePaths(forced.node_dir("prosumer1")).node_json.is_file()
+
+
+def test_a_node_directory_outside_the_configuration_directory_is_refused(tmp_path):
+    config = make_bench_config(BENCH_TEMPLATE, 1, suffix="c11g")
+    escaping = dataclasses.replace(config.clients[0], name="../outside")  # validation would refuse the name
+    config = dataclasses.replace(config, clients=(escaping, *config.clients[1:]))
+    manager = NetworkManager(config, tmp_path / "ws", force=True)
+    manager.config_dir().mkdir(parents=True)
+    outside = tmp_path / "ws" / "outside"
+    outside.mkdir()
+    with pytest.raises(ManagerError, match="escapes"):
+        manager.network_delete()
+    assert outside.is_dir()
+    for name in ("../../outside", "a/b"):
+        with pytest.raises(ManagerError, match="escapes"):
+            manager.node_dir(name)
+    assert manager.node_dir("dso1").parent == manager.config_dir()
 
 
 def test_distribute_names_the_one_wrong_copy_among_several(tmp_path):
@@ -338,7 +395,7 @@ def test_network_stop_lets_every_node_exit_without_escalation(live_network, capl
     assert len(stops) == 3
     assert not any("escalated to kill" in line for line in stops)
     for node in config.all_nodes():
-        assert not manager.launcher.is_alive(node.host, manager.node_dir(node.name), pids[node.name])
+        assert manager.launcher.running_pid(node.host, manager.node_dir(node.name)) is None
         assert not process_running(pids[node.name])  # nor any other process under that pid
         assert not pid_files[node.name].exists()  # removed by the node itself on a graceful exit
 
@@ -404,6 +461,39 @@ def test_delete_refuses_running_network(live_network):
     manager, _ = live_network(prosumers=1, connect=False)
     with pytest.raises(ManagerError, match="refusing to delete"):
         manager.network_delete()
+
+
+def test_another_workspace_with_the_same_ports_does_not_run_this_network(live_network, tmp_path):
+    running, config = live_network(prosumers=1, connect=False)
+    other = NetworkManager(config, tmp_path / "other-ws", node_defaults=running.node_defaults)
+    other.network_create()  # created, never started: its admin ports answer only for the running network
+    with pytest.raises(NotRunning):
+        other.network_stop()
+    assert all(status is not None for status in running.network_status().values())
+    other.network_delete()  # no force needed: none of its nodes runs
+    assert not other.config_dir().exists()
+    assert all(status is not None for status in running.network_status().values())
+
+
+def test_start_on_a_running_network_refuses_or_with_force_restarts_every_node(live_network):
+    manager, config = live_network(prosumers=2, connect=False)
+    nodes = config.all_nodes()
+
+    def pids():
+        return {n.name: manager.launcher.running_pid(n.host, manager.node_dir(n.name)) for n in nodes}
+
+    before = pids()
+    assert None not in before.values()
+    with pytest.raises(AlreadyRunning, match="node 'prosumer1'"):  # the first client in config order
+        manager.start("clients")
+    assert pids() == before
+    forced = NetworkManager(config, manager.workspace, force=True, node_defaults=manager.node_defaults)
+    forced.start("miners")
+    forced.start("clients")
+    after = pids()
+    for node in nodes:
+        assert after[node.name] is not None and after[node.name] != before[node.name], node.name
+        assert not process_running(before[node.name])
 
 
 def test_bench_happy_path_produces_all_phases(tmp_path):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import logging
 import socket
+import socketserver
 import statistics
 import struct
 import subprocess
@@ -26,7 +27,7 @@ from chainyard.node import (
     PortInUse,
     load_blocks,
 )
-from chainyard.protocol import AdminClient, AdminError, AdminTimeout, framed_request
+from chainyard.protocol import AdminClient, AdminError, AdminTimeout, Server, framed_request, recv_framed, send_framed
 from conftest import wait_until
 
 TEMPLATE = NetworkConfig(
@@ -450,6 +451,38 @@ def test_shutdown_does_not_wait_out_a_server_poll(tmp_path):
         runtime.shutdown()
         took.append(time.perf_counter() - started)
     assert statistics.median(took) < 0.1, took  # waiting out a 0.1 s serve poll per server would fail this
+
+
+def test_a_burst_of_clients_connecting_at_once_is_served_without_a_syn_retransmit():
+    class Echo(socketserver.BaseRequestHandler):
+        def handle(self):
+            send_framed(self.request, recv_framed(self.request))
+
+    server = Server(("127.0.0.1", 0), Echo)
+    server.start()
+    port = server.server_address[1]
+    clients = 21  # about one interval's orders, sent to the DSO's wrapper at once
+    try:
+        for burst in range(3):
+            barrier = threading.Barrier(clients)
+            took: list[float] = []
+
+            def ask(i: int) -> None:
+                barrier.wait(timeout=5)
+                started = time.perf_counter()
+                assert framed_request("127.0.0.1", port, {"i": i}) == {"i": i}
+                took.append(time.perf_counter() - started)
+
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(took) == clients, f"burst {burst}: {clients - len(took)} requests failed"
+            assert max(took) < 0.5, f"burst {burst}: slowest reply took {max(took):.2f}s"  # a dropped SYN waits 1 s
+    finally:
+        server.stop()
 
 
 def test_torn_final_block_line_is_truncated_and_the_miner_mines_on(tmp_path, caplog):
