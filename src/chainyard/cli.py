@@ -195,20 +195,30 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _parse_fault(spec: str | None) -> tuple[int, str, str] | None:
+def _parse_fault(spec: str | None, config: dsl.NetworkConfig, intervals: int) -> tuple[int, str, str] | None:
+    """``--fault interval:node:mode``, checked against the config and the day before anything starts."""
     if spec is None:
         return None
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValidationFailed(f"--fault must be interval:node:mode, got {spec!r}")
-    interval, node_name, mode = parts
-    return int(interval), node_name, mode
+    try:
+        interval, node_name, mode = spec.split(":")
+        number = int(interval)
+    except ValueError:
+        raise ValidationFailed(f"--fault must be interval:node:mode, got {spec!r}") from None
+    if not 0 <= number < intervals:
+        raise ValidationFailed(f"--fault interval {number} is not one of the day's intervals 0..{intervals - 1}")
+    try:
+        dsl.node_lookup(config, node_name)
+    except dsl.NodeNotFound as exc:
+        raise ValidationFailed(f"--fault: {exc}") from None
+    if mode not in node.FAULT_MODES:
+        raise ValidationFailed(f"--fault mode must be one of {', '.join(node.FAULT_MODES)}, got {mode!r}")
+    return number, node_name, mode
 
 
 def _cmd_run_tes(args) -> int:
     config = _load_config(args.config)
+    fault = _parse_fault(args.fault, config, args.intervals)
     manager = _manager(args, config)
-    fault = _parse_fault(args.fault)
 
     if not manager.genesis_path().exists():
         _print_timings(manager.network_create())

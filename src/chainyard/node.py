@@ -31,21 +31,22 @@ import os
 import select
 import signal
 import socket
-import socketserver
 import sys
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from queue import PriorityQueue
-from typing import Callable
+from typing import Any, Callable, TypeVar
 
 from . import chain as chainmod
 from .chain import Block, Chain, Transaction
 from .genesis import GENESIS_FILE, GenesisDocument, read_genesis
-from .protocol import Server, framed_request, recv_framed, send_framed
+from .protocol import Server, framed_request, reply_framed
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 FAULT_MODES = ("none", "stall_mempool", "unresponsive")
 UNRESPONSIVE_HANG_SECONDS = 600.0
@@ -166,27 +167,43 @@ def _write_json_atomic(path: Path, payload) -> None:
     tmp.replace(path)
 
 
-def _read_block_log(path: Path) -> tuple[list[Block], int]:
-    """The blocks in a ``blocks.log`` and the byte length of its complete part.
+def read_append_log(path: Path, parse: Callable[[Any], T], repair: bool = False) -> list[T]:
+    """The records of an append-only log of one JSON document per line, each passed through ``parse``.
 
-    A final line that does not parse is an append cut short (``stop``
-    escalates to ``kill -9``): it is left out, and the length returned
-    ends before it. A bad line anywhere else raises GenesisMismatch.
+    A final line that does not parse is an append cut short (``kill -9``, a
+    full disk): it is left out. With ``repair`` the file is then cut back to
+    end before it, or a whole final line that lacks its newline gets one, so
+    that the next append starts a line of its own. A bad line anywhere else
+    raises ValueError naming the file and line.
     """
     with path.open("rb") as handle:
         lines = handle.readlines()
-    blocks: list[Block] = []
-    complete = 0
+    records: list[T] = []
     for lineno, line in enumerate(lines, start=1):
-        if line.strip():
-            try:
-                blocks.append(Block.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                if lineno == len(lines):
-                    break
-                raise GenesisMismatch(f"{path}:{lineno}: unreadable block line: {exc}") from exc
-        complete += len(line)
-    return blocks, complete
+        if not line.strip():
+            continue
+        try:
+            records.append(parse(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            if lineno < len(lines):
+                raise ValueError(f"{path}:{lineno}: unreadable line: {exc}") from exc
+            if repair:
+                os.truncate(path, sum(map(len, lines[:-1])))
+                logger.warning("truncated a torn final line (%d bytes) from %s", len(line), path)
+            return records
+    if repair and lines and not lines[-1].endswith(b"\n"):
+        with path.open("ab") as handle:
+            handle.write(b"\n")
+        logger.warning("wrote the missing final newline of %s", path)
+    return records
+
+
+def _read_block_log(path: Path, repair: bool = False) -> list[Block]:
+    """The blocks in a ``blocks.log`` by ``read_append_log``'s rule; a bad line before the last is a GenesisMismatch."""
+    try:
+        return read_append_log(path, Block.from_dict, repair)
+    except ValueError as exc:
+        raise GenesisMismatch(str(exc)) from exc
 
 
 def load_blocks(data_dir: str | Path) -> list[Block]:
@@ -195,7 +212,7 @@ def load_blocks(data_dir: str | Path) -> list[Block]:
     doc = read_genesis(paths.genesis)
     blocks = [chainmod.genesis_block(doc)]
     if paths.blocks.exists():
-        blocks += _read_block_log(paths.blocks)[0]
+        blocks += _read_block_log(paths.blocks)
     return blocks
 
 
@@ -218,8 +235,8 @@ class NodeRuntime:
         self.stop_event = threading.Event()
 
         self._blocks_handle = None
-        # (rank, sequence, exclude, message): rank 0 ends gossip, then blocks, then txs; each rank in order
-        self._outbox: PriorityQueue[tuple[int, int, tuple[str, int] | None, dict | None]] = PriorityQueue()
+        # (rank, sequence, exclude, message, to): rank 0 ends gossip, then blocks, then txs; each rank in order
+        self._outbox: PriorityQueue[tuple] = PriorityQueue()
         self._outbox_sequence = itertools.count()
         self._admin_server: Server | None = None
         self._peer_server: Server | None = None
@@ -240,27 +257,13 @@ class NodeRuntime:
                     f"got {self.genesis_doc.genesis_hash}"
                 )
         else:
-            meta = meta_document(self.genesis_doc.genesis_hash)
-            self.paths.meta.write_text(json.dumps(meta) + "\n", encoding="utf-8")
+            _write_json_atomic(self.paths.meta, meta_document(self.genesis_doc.genesis_hash))
 
     def _replay(self) -> None:
         if not self.paths.blocks.exists():
             self.paths.blocks.touch()
             return
-        blocks, complete = _read_block_log(self.paths.blocks)
-        with self.paths.blocks.open("r+b") as handle:
-            torn = handle.seek(0, os.SEEK_END) - complete
-            if torn:
-                handle.truncate(complete)
-                logger.warning(
-                    "%s: truncated a torn final line (%d bytes) from %s", self.identity.name, torn, self.paths.blocks
-                )
-            elif complete:
-                handle.seek(complete - 1)
-                if handle.read(1) != b"\n":  # an append cut just before its newline
-                    handle.write(b"\n")  # else the next append would join onto the last block
-                    logger.warning("%s: wrote the missing final newline of %s", self.identity.name, self.paths.blocks)
-        for block in blocks:
+        for block in _read_block_log(self.paths.blocks, repair=True):
             status, detail = self.chain.receive_block(block)
             if status != "accepted":
                 raise GenesisMismatch(
@@ -302,8 +305,9 @@ class NodeRuntime:
 
     def start(self) -> None:
         try:
-            self._admin_server = Server((self.identity.host, self.identity.admin_port), self._admin_handler())
-            self._peer_server = Server((self.identity.host, self.identity.blockchain_port), self._peer_handler())
+            self._admin_server = Server((self.identity.host, self.identity.admin_port), self._serve_admin)
+            peer_address = (self.identity.host, self.identity.blockchain_port)
+            self._peer_server = Server(peer_address, lambda sock: reply_framed(sock, self._dispatch_peer))
         except OSError as exc:
             if self._admin_server is not None:
                 self._admin_server.stop()
@@ -329,7 +333,7 @@ class NodeRuntime:
     def shutdown(self) -> None:
         logger.info("%s: shutting down", self.identity.name)
         self.stop_event.set()
-        self._outbox.put((0, next(self._outbox_sequence), None, None))
+        self._outbox.put((0, next(self._outbox_sequence), None, None, None))
         for server in (self._admin_server, self._peer_server):
             if server is not None:
                 server.stop()
@@ -423,9 +427,10 @@ class NodeRuntime:
 
     # -- gossip ----------------------------------------------------------------
 
-    def _enqueue(self, exclude: tuple[str, int] | None, message: dict) -> None:
+    def _enqueue(self, exclude: tuple[str, int] | None, message: dict, to: tuple[str, int] | None = None) -> None:
+        """Queue a message for every peer but ``exclude``, or for the peer ``to`` alone."""
         rank = 1 if message["kind"] == "new_block" else 2
-        self._outbox.put((rank, next(self._outbox_sequence), exclude, message))
+        self._outbox.put((rank, next(self._outbox_sequence), exclude, message, to))
 
     def _broadcast_loop(self) -> None:
         """Send gossip from one thread: every queued new_block before any queued new_tx, each kind in order.
@@ -434,9 +439,9 @@ class NodeRuntime:
         blocks mined meanwhile behind it, and the peers' heights would lag.
         """
         while (item := self._outbox.get())[0] > 0:  # shutdown() queues rank 0, ahead of any gossip
-            _, _, exclude, message = item
+            _, _, exclude, message, to = item
             with self._lock:
-                targets = sorted(self.peers)
+                targets = sorted(self.peers) if to is None else [to]
             for target in targets:
                 if target == exclude:
                     continue
@@ -462,7 +467,7 @@ class NodeRuntime:
             logger.info("%s: greeting persisted peer %s:%d failed: %s", self.identity.name, host, port, exc)
 
     def _handshake(self, host: str, port: int) -> None:
-        """Hello exchange: register the peer, catch up if behind, share mempool."""
+        """Hello exchange: register the peer, catch up if behind, share the mempool with that peer."""
         with self._lock:
             my_height = self.chain.height
         hello = {"kind": "hello", "from": self.endpoint, "height": my_height}
@@ -475,7 +480,7 @@ class NodeRuntime:
             with self._lock:
                 pending = list(self.chain.mempool.values())
             for tx in pending:
-                self._enqueue(None, {"kind": "new_tx", "from": self.endpoint, "tx": tx.to_dict()})
+                self._enqueue(None, {"kind": "new_tx", "from": self.endpoint, "tx": tx.to_dict()}, to=(host, port))
 
     def _sync_from(self, host: str, port: int) -> None:
         while not self.stop_event.is_set():
@@ -495,41 +500,34 @@ class NodeRuntime:
 
     # -- admin protocol -----------------------------------------------------------
 
-    def _admin_handler(self):
-        runtime = self
-
-        class AdminHandler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:
-                line = self.rfile.readline()
-                if not line:
-                    return
-                if runtime.fault == "unresponsive":
-                    # Replicate a wedged client: accept the request, never answer.
-                    runtime.stop_event.wait(UNRESPONSIVE_HANG_SECONDS)
-                    return
-                op = None
-                try:
-                    request = json.loads(line.decode("utf-8"))
-                    op = request.get("op")
-                    params = request.get("params") or {}
-                    if not isinstance(op, str):
-                        raise ValueError("request must carry a string 'op'")
-                    result = runtime._dispatch_admin(op, params)
-                    response = {"ok": True, "result": result}
-                except chainmod.TxError as exc:
-                    response = {"ok": False, "error": {"code": exc.code, "message": str(exc)}}
-                except _AdminFault as exc:
-                    response = {"ok": False, "error": {"code": exc.code, "message": str(exc)}}
-                except (ValueError, KeyError, TypeError) as exc:
-                    response = {"ok": False, "error": {"code": "MalformedRequest", "message": str(exc)}}
-                except Exception as exc:  # a bad request must never take the node down
-                    logger.exception("%s: admin request failed", runtime.identity.name)
-                    response = {"ok": False, "error": {"code": "InternalError", "message": str(exc)}}
-                self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-                if op == "stop" and response["ok"]:
-                    runtime.request_stop()  # only now: the reply is already on the wire
-
-        return AdminHandler
+    def _serve_admin(self, sock: socket.socket) -> None:
+        """Answer one admin request line; a ``stop`` takes effect once its reply is on the wire."""
+        with sock.makefile("rb") as rfile:
+            line = rfile.readline()
+        if not line:
+            return
+        if self.fault == "unresponsive":
+            # Replicate a wedged client: accept the request, never answer.
+            self.stop_event.wait(UNRESPONSIVE_HANG_SECONDS)
+            return
+        op = None
+        try:
+            request = json.loads(line.decode("utf-8"))
+            op = request.get("op")
+            params = request.get("params") or {}
+            if not isinstance(op, str):
+                raise ValueError("request must carry a string 'op'")
+            response = {"ok": True, "result": self._dispatch_admin(op, params)}
+        except (chainmod.TxError, _AdminFault) as exc:
+            response = {"ok": False, "error": {"code": exc.code, "message": str(exc)}}
+        except (ValueError, KeyError, TypeError) as exc:
+            response = {"ok": False, "error": {"code": "MalformedRequest", "message": str(exc)}}
+        except Exception as exc:  # a bad request must never take the node down
+            logger.exception("%s: admin request failed", self.identity.name)
+            response = {"ok": False, "error": {"code": "InternalError", "message": str(exc)}}
+        sock.sendall((json.dumps(response) + "\n").encode("utf-8"))
+        if op == "stop" and response["ok"]:
+            self.request_stop()
 
     def _dispatch_admin(self, op: str, params: dict):
         if op == "status":
@@ -579,7 +577,7 @@ class NodeRuntime:
             self.mining_enabled = bool(params["enabled"])
             return self.mining_enabled
         if op == "stop":
-            return "stopping"  # the handler sets stop_event once this reply is written
+            return "stopping"  # _serve_admin sets stop_event once this reply is written
         raise ValueError(f"unknown op {op!r}")
 
     def _admin_add_peer(self, host: str, port: int) -> int:
@@ -593,20 +591,6 @@ class NodeRuntime:
             return len(self.peers)
 
     # -- peer protocol -------------------------------------------------------------
-
-    def _peer_handler(self):
-        runtime = self
-
-        class PeerHandler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:
-                try:
-                    message = recv_framed(self.request)
-                    reply = runtime._dispatch_peer(message)
-                    send_framed(self.request, reply)
-                except Exception as exc:  # malformed peers must not kill the session loop
-                    logger.debug("%s: peer session error: %s", runtime.identity.name, exc)
-
-        return PeerHandler
 
     def _dispatch_peer(self, message: dict) -> dict:
         kind = message.get("kind")

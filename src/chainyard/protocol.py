@@ -5,28 +5,39 @@ request ``{"op": ..., "params": {...}}``, response
 ``{"ok": bool, "result"|"error": ...}``. One request per connection.
 
 Peer and off-chain protocols: length-prefixed JSON messages (4-byte
-big-endian length, then the UTF-8 payload).
+big-endian length, then the UTF-8 payload), one request and its reply
+per connection.
+
+A server is an address plus one function that serves an accepted
+connection: ``Server(address, serve)`` calls ``serve(sock)`` on a thread
+of its own and closes the socket after it. A framed port passes
+``lambda sock: reply_framed(sock, reply)``, with ``reply`` a function of
+the request message that returns the reply message.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import selectors
 import socket
 import socketserver
 import struct
 import threading
-from typing import Any
+from typing import Any, Callable
+
+logger = logging.getLogger(__name__)
 
 MAX_FRAME = 64 * 1024 * 1024
 
 
 class Server(socketserver.ThreadingTCPServer):
-    """Threaded TCP server that stops as soon as it is told to.
+    """Threaded TCP server that serves each connection with ``serve(sock)`` and stops as soon as it is told to.
 
-    ``serve_forever`` only sees a shutdown request when its poll interval
-    runs out; this server's loop also wakes on a socket pair that
-    ``stop()`` writes to, so stopping costs no poll wait.
+    ``serve`` runs on a thread of its own per connection, and the socket is
+    closed when it returns. ``serve_forever`` only sees a shutdown request
+    when its poll interval runs out; this server's loop also wakes on a
+    socket pair that ``stop()`` writes to, so stopping costs no poll wait.
     """
 
     allow_reuse_address = True
@@ -35,8 +46,9 @@ class Server(socketserver.ThreadingTCPServer):
     # interval's orders), and each dropped one waits out a 1 s retransmit.
     request_queue_size = socket.SOMAXCONN
 
-    def __init__(self, address, handler):
-        super().__init__(address, handler)
+    def __init__(self, address, serve: Callable[[socket.socket], None]):
+        super().__init__(address, None)
+        self._serve_connection = serve
         self._wake_read, self._wake_write = socket.socketpair()
         self._stop_requested = False
         self._loop: threading.Thread | None = None
@@ -45,6 +57,9 @@ class Server(socketserver.ThreadingTCPServer):
         """Serve on a daemon thread."""
         self._loop = threading.Thread(target=self._serve, daemon=True)
         self._loop.start()
+
+    def finish_request(self, request, client_address) -> None:
+        self._serve_connection(request)
 
     def _serve(self) -> None:
         with selectors.DefaultSelector() as selector:
@@ -110,9 +125,20 @@ def recv_framed(sock: socket.socket) -> Any:
 def framed_request(host: str, port: int, obj: Any, timeout: float = 5.0) -> Any:
     """One length-prefixed request/response round trip on a fresh connection."""
     with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.settimeout(timeout)
         send_framed(sock, obj)
         return recv_framed(sock)
+
+
+def reply_framed(sock: socket.socket, reply: Callable[[Any], Any]) -> None:
+    """Serve one framed request on an accepted socket: read it, and write back ``reply(request)``, framed.
+
+    A client that sends garbage or goes away, or a request that ``reply``
+    cannot answer, is logged and the connection closed; the server serves on.
+    """
+    try:
+        send_framed(sock, reply(recv_framed(sock)))
+    except Exception as exc:  # one bad client must never reach the serving loop
+        logger.debug("framed request on port %d failed: %r", sock.getsockname()[1], exc)
 
 
 class AdminClient:
@@ -128,9 +154,10 @@ class AdminClient:
         message = json.dumps({"op": op, "params": params or {}}) + "\n"
         try:
             with socket.create_connection((self.host, self.port), timeout=deadline) as sock:
-                sock.settimeout(deadline)
                 sock.sendall(message.encode("utf-8"))
-                line = _read_line(sock)
+                line = sock.makefile("rb").readline()
+            if not line:
+                raise ConnectionError("empty admin response")
         except socket.timeout as exc:
             raise AdminTimeout(f"admin {self.host}:{self.port} timed out on {op!r}") from exc
         except OSError as exc:
@@ -182,18 +209,3 @@ class AdminClient:
             return True
         except (AdminTimeout, AdminUnreachable, AdminError):
             return False
-
-
-def _read_line(sock: socket.socket) -> str:
-    chunks = []
-    while True:
-        chunk = sock.recv(4096)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        if b"\n" in chunk:
-            break
-    data = b"".join(chunks)
-    if not data:
-        raise ConnectionError("empty admin response")
-    return data.split(b"\n", 1)[0].decode("utf-8")

@@ -18,7 +18,6 @@ import base64
 import json
 import logging
 import os
-import socketserver
 import threading
 import time
 import uuid
@@ -31,7 +30,7 @@ from .canonical import sha256_hex
 from .chain import DEFAULT_TX_COST, Transaction, make_transaction
 from .genesis import read_genesis
 from .launcher import LaunchFailed, NodeLauncher
-from .node import NodeIdentity, NodePaths
+from .node import NodeIdentity, NodePaths, read_append_log
 from .protocol import (
     AdminClient,
     AdminError,
@@ -39,8 +38,7 @@ from .protocol import (
     AdminUnreachable,
     Server,
     framed_request,
-    recv_framed,
-    send_framed,
+    reply_framed,
 )
 
 logger = logging.getLogger(__name__)
@@ -110,14 +108,8 @@ class TxJournal:
         self._load()
 
     def _load(self) -> None:
-        if not self.path.exists():
-            return
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
+        if self.path.exists():
+            for record in read_append_log(self.path, dict, repair=True):
                 self._fold(record)
 
     def _fold(self, record: dict) -> JournalEntry | None:
@@ -253,7 +245,7 @@ class NodeWrapper:
         if self.identity.wrapper_port is not None:
             try:
                 address = (self.identity.host, self.identity.wrapper_port)
-                self._offchain_server = Server(address, self._offchain_handler())
+                self._offchain_server = Server(address, lambda sock: reply_framed(sock, self._offchain_reply))
             except OSError as exc:
                 raise BindFailure(f"{self.name}: cannot bind wrapper port {self.identity.wrapper_port}: {exc}") from exc
             self._offchain_server.start()
@@ -552,34 +544,22 @@ class NodeWrapper:
                 time.sleep(0.05 * attempt)
         raise PeerUnreachable(f"{self.name}: wrapper peer {host}:{port} unreachable: {last_error}")
 
-    def _offchain_handler(self):
-        wrapper = self
-
-        class OffchainHandler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:
+    def _offchain_reply(self, message: dict) -> dict:
+        """Hand an inbound off-chain message to every handler, once per msg id, and acknowledge it."""
+        msg_id = message.get("msgId")
+        with self._seen_lock:
+            duplicate = msg_id in self._seen_msg_ids
+            if not duplicate and msg_id:
+                self._seen_msg_ids.add(msg_id)
+        if not duplicate:
+            decoded = dict(message)
+            try:
+                decoded["payload"] = base64.b64decode(message.get("payload", ""))
+            except (ValueError, TypeError):
+                decoded["payload"] = b""
+            for handler in list(self._offchain_handlers):
                 try:
-                    message = recv_framed(self.request)
-                except (OSError, ValueError):
-                    return
-                msg_id = message.get("msgId")
-                with wrapper._seen_lock:
-                    duplicate = msg_id in wrapper._seen_msg_ids
-                    if not duplicate and msg_id:
-                        wrapper._seen_msg_ids.add(msg_id)
-                if not duplicate:
-                    decoded = dict(message)
-                    try:
-                        decoded["payload"] = base64.b64decode(message.get("payload", ""))
-                    except (ValueError, TypeError):
-                        decoded["payload"] = b""
-                    for handler in list(wrapper._offchain_handlers):
-                        try:
-                            handler(decoded)
-                        except Exception:
-                            logger.exception("%s: off-chain handler raised", wrapper.name)
-                try:
-                    send_framed(self.request, {"ok": True, "duplicate": duplicate})
-                except OSError:
-                    pass
-
-        return OffchainHandler
+                    handler(decoded)
+                except Exception:
+                    logger.exception("%s: off-chain handler raised", self.name)
+        return {"ok": True, "duplicate": duplicate}

@@ -183,3 +183,16 @@ def test_run_tes_and_audit_round_trip(tmp_path, capsys):
     audit_out = capsys.readouterr().out
     assert "interval  0: pass" in audit_out
     assert "interval  1: FAIL" in audit_out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["x:dso1:stall_mempool", "0:dso1", "0:nobody:stall_mempool", "0:dso1:explode", "2:dso1:none", "-1:dso1:none"],
+)
+def test_run_tes_rejects_a_bad_fault_before_anything_starts(tmp_path, capsys, spec):
+    path, _ = write_config(tmp_path, suffix="cli8")
+    ws = tmp_path / "ws"
+    args = ["run-tes", "--config", str(path), "--workspace", str(ws), "--seed", "1", "--intervals", "2"]
+    assert main([*args, f"--fault={spec}"]) == 1
+    assert "--fault" in capsys.readouterr().err
+    assert not ws.exists()

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import logging
 import socket
-import socketserver
 import statistics
 import struct
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +28,17 @@ from chainyard.node import (
     PortInUse,
     load_blocks,
 )
-from chainyard.protocol import AdminClient, AdminError, AdminTimeout, Server, framed_request, recv_framed, send_framed
+from chainyard.protocol import (
+    MAX_FRAME,
+    AdminClient,
+    AdminError,
+    AdminTimeout,
+    Server,
+    framed_request,
+    recv_framed,
+    send_framed,
+)
+from chainyard.wrapper import NodeWrapper
 from conftest import wait_until
 
 TEMPLATE = NetworkConfig(
@@ -454,11 +465,7 @@ def test_shutdown_does_not_wait_out_a_server_poll(tmp_path):
 
 
 def test_a_burst_of_clients_connecting_at_once_is_served_without_a_syn_retransmit():
-    class Echo(socketserver.BaseRequestHandler):
-        def handle(self):
-            send_framed(self.request, recv_framed(self.request))
-
-    server = Server(("127.0.0.1", 0), Echo)
+    server = Server(("127.0.0.1", 0), lambda sock: send_framed(sock, recv_framed(sock)))
     server.start()
     port = server.server_address[1]
     clients = 21  # about one interval's orders, sent to the DSO's wrapper at once
@@ -587,6 +594,88 @@ def test_a_queued_block_goes_to_every_peer_before_the_next_queued_tx(tmp_path, m
     assert last_block < second_tx, sends[:8]
     txs = [n for _, kind, n in sends if kind == "new_tx"]
     assert txs == sorted(txs)  # txs keep their order among themselves
+
+
+def test_a_handshake_sends_the_mempool_to_the_greeted_peer_only(tmp_path, monkeypatch):
+    config, _, dirs = deploy(tmp_path, suffix="h")
+    runtime = NodeRuntime(dirs["miner1"])  # never started: no socket, only the gossip thread below
+    peers = {("127.0.0.1", port) for port in (1, 2, 3)}
+    runtime.peers = set(peers)  # as a restarted node loads them from peers.json
+    pending = [
+        make_transaction(account_of(config, "miner1"), account_of(config, "prosumer1"), 5, nonce=n) for n in range(2)
+    ]
+    for tx in pending:
+        runtime.chain.submit_transaction(tx)
+    sends: list[tuple[tuple[str, int], str, str | None]] = []
+
+    def fake_framed_request(host, port, message, timeout):
+        sends.append(((host, port), message["kind"], message.get("tx", {}).get("txId")))
+        return {"kind": "hello_ack", "height": 0} if message["kind"] == "hello" else {"kind": "ok"}
+
+    monkeypatch.setattr("chainyard.node.framed_request", fake_framed_request)
+    runtime._enqueue(None, {"kind": "new_block"})
+    runtime._greet_known_peers()
+    runtime._enqueue(None, {"kind": "new_tx", "tx": {"txId": "last"}})  # sent after every tx queued before it
+    sender = threading.Thread(target=runtime._broadcast_loop, daemon=True)
+    sender.start()
+    wait_until(lambda: [tx_id for *_, tx_id in sends].count("last") == len(peers), message="the last tx sent")
+    runtime.shutdown()
+    sender.join(5)
+    assert not sender.is_alive()
+
+    gossip = [(peer, kind, tx_id) for peer, kind, tx_id in sends if kind != "hello" and tx_id != "last"]
+    assert [kind for _, kind, _ in gossip[: len(peers)]] == ["new_block"] * len(peers)  # a queued block goes first
+    assert sorted((peer, tx_id) for peer, kind, tx_id in gossip if kind == "new_tx") == sorted(
+        (peer, tx.tx_id) for peer in peers for tx in pending
+    )  # each pending tx once to each greeted peer: N·P sends, not N²·P
+
+
+def test_a_meta_json_write_cut_short_does_not_stop_the_next_start(tmp_path, monkeypatch):
+    _, doc, dirs = deploy(tmp_path, suffix="m")
+    write_text = Path.write_text
+
+    def cut_short(self, data, *args, **kwargs):  # as a kill -9 or a full disk leaves a write
+        write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Path, "write_text", cut_short)
+        with pytest.raises(OSError):
+            NodeRuntime(dirs["prosumer1"])  # its first start writes meta.json
+    NodeRuntime(dirs["prosumer1"])
+    assert json.loads((dirs["prosumer1"] / "meta.json").read_text()) == {"genesisHash": doc.genesis_hash}
+
+
+BAD_FRAMES = {
+    "non-JSON frame": struct.pack(">I", 5) + b"{oops",
+    "length over MAX_FRAME": struct.pack(">I", MAX_FRAME + 1),
+    "close mid-frame": struct.pack(">I", 100) + b'{"kind"',
+}
+
+
+@pytest.mark.parametrize("bad", BAD_FRAMES.values(), ids=BAD_FRAMES.keys())
+@pytest.mark.parametrize("port", ["peer", "offchain"])
+def test_a_framed_port_serves_on_after_bad_input(tmp_path, boot, caplog, port, bad):
+    config, _, dirs = deploy(tmp_path, suffix="f")
+    spec = next(node for node in config.clients if node.name == "prosumer1")
+    wrapper = None
+    if port == "peer":
+        boot(dirs["prosumer1"])
+        address, good, answer = (spec.host, spec.blockchain_port), {"kind": "hello"}, {"kind": "hello_ack", "height": 0}
+    else:
+        wrapper = NodeWrapper(dirs["prosumer1"], auto_recover=False).attach()  # its node is down
+        address, good, answer = (spec.host, spec.wrapper_port), {"msgId": "m1"}, {"ok": True, "duplicate": False}
+    try:
+        with caplog.at_level(logging.DEBUG, logger="chainyard.protocol"):
+            with socket.create_connection(address, timeout=3) as sock:
+                sock.sendall(bad)
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.recv(1) == b""  # closed without a reply
+        assert f"framed request on port {address[1]} failed" in caplog.text
+        assert framed_request(*address, good, timeout=3) == answer
+    finally:
+        if wrapper is not None:
+            wrapper.close()
 
 
 def test_a_node_process_imports_no_dsl_code():

@@ -188,6 +188,27 @@ def test_journal_replay_matches_the_live_entries(tmp_path, monkeypatch):
     assert len(lines) == 5
 
 
+def test_a_torn_final_journal_line_is_dropped_and_cut_back(tmp_path):
+    path = tmp_path / "wrapper-journal.log"
+    txs = [make_transaction("a" * 64, "b" * 64, 5, nonce=nonce) for nonce in range(3)]
+    live = TxJournal(path)
+    for tx in txs[:2]:
+        live.record_submitted(tx, submit_height=1)
+    two_records = path.read_bytes()
+    live.record_submitted(txs[2], submit_height=1)
+    third = path.read_bytes()[len(two_records) :]
+    path.write_bytes(two_records + third[: len(third) // 2])  # an append cut short by kill -9
+
+    assert list(TxJournal(path).entries) == [txs[0].tx_id, txs[1].tx_id]
+    assert path.read_bytes() == two_records
+    assert TxJournal(path).record_submitted(txs[2], submit_height=1)
+    assert list(TxJournal(path).entries) == [tx.tx_id for tx in txs]
+
+    path.write_bytes(third[: len(third) // 2] + b"\n" + two_records)  # a bad line before the last still raises
+    with pytest.raises(ValueError, match="wrapper-journal.log:1"):
+        TxJournal(path)
+
+
 def test_duplicate_submit_single_journal_entry(wrapped):
     _, _, wrappers = wrapped()
     wrapper = wrappers["prosumer1"]
