@@ -623,18 +623,20 @@ def bench(
 ) -> BenchResult:
     """Run the full lifecycle repeatedly per prosumer count and collect timings.
 
+    Each repetition runs every count once, so a slow stretch of the host
+    lands on all counts alike instead of on all repetitions of one count.
     A warmup repetition (not recorded) precedes the measured ones so cold
     interpreter/bytecode caches do not skew the first sample.
     """
     counts = list(prosumer_counts)
     result = BenchResult(prosumer_counts=counts, repetitions=repetitions)
-    for count in counts:
-        config = make_bench_config(template, count)
-        manager = NetworkManager(
-            config, workspace, executor=executor, node_defaults=node_defaults, force=False
-        )
-        reps = ([-1] if warmup else []) + list(range(repetitions))
-        for rep in reps:
+    managers = [
+        (count, NetworkManager(make_bench_config(template, count), workspace, executor=executor,
+                               node_defaults=node_defaults, force=False))
+        for count in counts
+    ]
+    for rep in ([-1] if warmup else []) + list(range(repetitions)):
+        for count, manager in managers:
             try:
                 timings = list(manager.network_create())
                 timings.append(manager.start("miners"))

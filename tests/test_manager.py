@@ -515,6 +515,20 @@ def test_bench_happy_path_produces_all_phases(tmp_path):
     assert len(summary.splitlines()) == 13
 
 
+def test_bench_runs_every_count_once_per_repetition(tmp_path):
+    result = bench(
+        BENCH_TEMPLATE,
+        [1, 2],
+        2,
+        tmp_path / "ws",
+        node_defaults=NodeDefaults(block_interval=0.1),
+        warmup=False,
+    )
+    assert result.ok
+    order = [(row.rep, row.prosumers) for row in result.rows if row.phase == Phase.CLIENTS_START.value]
+    assert order == [(0, 1), (0, 2), (1, 1), (1, 2)]
+
+
 class StartBlockingExecutor(LocalExecutor):
     def run(self, host, command):
         if "chainyard.node" in command:
