@@ -501,6 +501,12 @@ class NodeRuntime:
     # -- admin protocol -----------------------------------------------------------
 
     def _serve_admin(self, sock: socket.socket) -> None:
+        try:
+            self._answer_admin(sock)
+        except OSError as exc:  # the client went away; the next one is served as ever
+            logger.debug("%s: admin client went away: %r", self.identity.name, exc)
+
+    def _answer_admin(self, sock: socket.socket) -> None:
         """Answer one admin request line; a ``stop`` takes effect once its reply is on the wire."""
         with sock.makefile("rb") as rfile:
             line = rfile.readline()
@@ -577,7 +583,7 @@ class NodeRuntime:
             self.mining_enabled = bool(params["enabled"])
             return self.mining_enabled
         if op == "stop":
-            return "stopping"  # _serve_admin sets stop_event once this reply is written
+            return "stopping"  # _answer_admin sets stop_event once this reply is written
         raise ValueError(f"unknown op {op!r}")
 
     def _admin_add_peer(self, host: str, port: int) -> int:

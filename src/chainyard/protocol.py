@@ -8,9 +8,9 @@ Peer and off-chain protocols: length-prefixed JSON messages (4-byte
 big-endian length, then the UTF-8 payload), one request and its reply
 per connection.
 
-A server is an address plus one function that serves an accepted
-connection: ``Server(address, serve)`` calls ``serve(sock)`` on a thread
-of its own and closes the socket after it. A framed port passes
+A server is a listening socket, one accept thread, and one thread per
+connection: ``Server(address, serve)`` calls ``serve(sock)`` on the
+connection's thread and closes the socket after it. A framed port passes
 ``lambda sock: reply_framed(sock, reply)``, with ``reply`` a function of
 the request message that returns the reply message.
 """
@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
-import selectors
 import socket
-import socketserver
 import struct
 import threading
 from typing import Any, Callable
@@ -31,54 +29,48 @@ logger = logging.getLogger(__name__)
 MAX_FRAME = 64 * 1024 * 1024
 
 
-class Server(socketserver.ThreadingTCPServer):
-    """Threaded TCP server that serves each connection with ``serve(sock)`` and stops as soon as it is told to.
+class Server:
+    """A listening socket whose accept thread serves each connection with ``serve(sock)`` on a thread of its own.
 
-    ``serve`` runs on a thread of its own per connection, and the socket is
-    closed when it returns. ``serve_forever`` only sees a shutdown request
-    when its poll interval runs out; this server's loop also wakes on a
-    socket pair that ``stop()`` writes to, so stopping costs no poll wait.
+    It listens from construction, so a port in use raises there, and accepts
+    from ``start()``. Each connection's socket is closed when ``serve``
+    returns. ``stop()`` shuts the listener down, which wakes the blocked
+    ``accept`` at once, and closes it.
     """
 
-    allow_reuse_address = True
-    daemon_threads = True
-    # socketserver's backlog of 5 drops SYNs from a burst of clients (a cleared
-    # interval's orders), and each dropped one waits out a 1 s retransmit.
-    request_queue_size = socket.SOMAXCONN
-
     def __init__(self, address, serve: Callable[[socket.socket], None]):
-        super().__init__(address, None)
-        self._serve_connection = serve
-        self._wake_read, self._wake_write = socket.socketpair()
-        self._stop_requested = False
-        self._loop: threading.Thread | None = None
+        # A backlog of 5 drops SYNs from a burst of clients (a cleared
+        # interval's orders), and each dropped one waits out a 1 s retransmit.
+        self._listener = socket.create_server(address, backlog=socket.SOMAXCONN)
+        self.server_address = self._listener.getsockname()
+        self._serve = serve
+        self._stopped = False
+        self._accepter: threading.Thread | None = None
 
     def start(self) -> None:
-        """Serve on a daemon thread."""
-        self._loop = threading.Thread(target=self._serve, daemon=True)
-        self._loop.start()
+        """Accept on a daemon thread."""
+        self._accepter = threading.Thread(target=self._accept_loop, daemon=True)
+        self._accepter.start()
 
-    def finish_request(self, request, client_address) -> None:
-        self._serve_connection(request)
+    def _accept_loop(self) -> None:
+        while not self._stopped:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:  # stop() shut the listener down, or this one connection failed
+                continue
+            threading.Thread(target=self._serve_and_close, args=(sock,), daemon=True).start()
 
-    def _serve(self) -> None:
-        with selectors.DefaultSelector() as selector:
-            selector.register(self, selectors.EVENT_READ)
-            selector.register(self._wake_read, selectors.EVENT_READ)
-            while not self._stop_requested:
-                for key, _ in selector.select():
-                    if key.fileobj is self and not self._stop_requested:
-                        self._handle_request_noblock()
+    def _serve_and_close(self, sock: socket.socket) -> None:
+        with sock:
+            self._serve(sock)
 
     def stop(self) -> None:
-        """Stop serving, wait for the loop to end, and close the listening socket."""
-        self._stop_requested = True
-        self._wake_write.send(b"\0")
-        if self._loop is not None:
-            self._loop.join()
-        self.server_close()
-        self._wake_read.close()
-        self._wake_write.close()
+        """Stop accepting, wait for the accept thread to end, and close the listening socket."""
+        self._stopped = True
+        self._listener.shutdown(socket.SHUT_RDWR)
+        if self._accepter is not None:
+            self._accepter.join()
+        self._listener.close()
 
 
 class AdminError(RuntimeError):
