@@ -453,18 +453,22 @@ class NodeRuntime:
     def _greet_known_peers(self) -> None:
         """Greet every persisted peer at once; return when all are greeted, or after HELLO_TIMEOUT at most."""
         with self._lock:
-            greeters = [threading.Thread(target=self._greet, args=peer, daemon=True) for peer in sorted(self.peers)]
+            greeters = [
+                threading.Thread(target=self._guarded, args=(self._handshake, *peer), daemon=True)
+                for peer in sorted(self.peers)
+            ]
         for greeter in greeters:
             greeter.start()
         deadline = time.monotonic() + HELLO_TIMEOUT
         for greeter in greeters:
             greeter.join(max(0.0, deadline - time.monotonic()))
 
-    def _greet(self, host: str, port: int) -> None:
+    def _guarded(self, exchange: Callable[[str, int], None], host: str, port: int) -> None:
+        """Run ``exchange(host, port)``; a peer that is down or answers garbage is logged, never fatal."""
         try:
-            self._handshake(host, port)
-        except Exception as exc:  # a peer that is down or answers garbage is skipped, never fatal
-            logger.info("%s: greeting persisted peer %s:%d failed: %s", self.identity.name, host, port, exc)
+            exchange(host, port)
+        except Exception as exc:
+            logger.info("%s: %s with peer %s:%d failed: %s", self.identity.name, exchange.__name__, host, port, exc)
 
     def _handshake(self, host: str, port: int) -> None:
         """Hello exchange: register the peer, catch up if behind, share the mempool with that peer."""
@@ -629,7 +633,7 @@ class NodeRuntime:
             # Forward exactly once: only the first acceptance reaches this path.
             self._enqueue(source, {"kind": "new_block", "from": self.endpoint, "block": message["block"]})
         elif status == "BadParent" and source and block.height > self.chain.height + 1:
-            threading.Thread(target=self._sync_from, args=source, daemon=True).start()
+            threading.Thread(target=self._guarded, args=(self._sync_from, *source), daemon=True).start()
         return {"kind": "ok", "status": status, "detail": detail}
 
 

@@ -148,13 +148,13 @@ class AdminClient:
             with socket.create_connection((self.host, self.port), timeout=deadline) as sock:
                 sock.sendall(message.encode("utf-8"))
                 line = sock.makefile("rb").readline()
-            if not line:
-                raise ConnectionError("empty admin response")
+            if not line.endswith(b"\n"):  # a node that died mid-reply leaves a torn line, or none
+                raise ConnectionError(f"admin reply ended after {len(line)} bytes, before its newline")
+            response = json.loads(line)
         except socket.timeout as exc:
             raise AdminTimeout(f"admin {self.host}:{self.port} timed out on {op!r}") from exc
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise AdminUnreachable(f"admin {self.host}:{self.port} unreachable: {exc}") from exc
-        response = json.loads(line)
         if not response.get("ok"):
             error = response.get("error") or {}
             raise AdminError(error.get("code", "Unknown"), error.get("message", "unspecified error"))

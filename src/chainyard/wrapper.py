@@ -467,28 +467,26 @@ class NodeWrapper:
 
     def _recover_inner(self) -> RecoveryReport:
         host, root = self.identity.host, self.paths.root
-        self.launcher.stop(host, self.admin, root, self.launcher.running_pid(host, root))
         attempts = 0
         while attempts < self.max_restarts and not self._stopping.is_set():
             attempts += 1
             if attempts > 1:
                 time.sleep(self.backoff_base * (2 ** (attempts - 2)))
+            # Each attempt stops what the last one may have left running, so its start never finds the lock held.
+            self.launcher.stop(host, self.admin, root, self.launcher.running_pid(host, root))
             try:
                 self.launcher.start(host, [root])
-            except LaunchFailed as exc:
+                status = self.admin.status()
+                if status["genesisHash"] != self.expected_genesis_hash:
+                    self._emit(NodeEvent(RECOVERY_FAILED, time.time()))
+                    raise RecoveryFailed(
+                        f"{self.name}: restarted node reports genesis {status['genesisHash']}, "
+                        f"expected {self.expected_genesis_hash}"
+                    )
+                resubmitted = self._resubmit_pending()
+            except (LaunchFailed, AdminTimeout, AdminUnreachable) as exc:
                 logger.warning("%s: restart attempt %d failed: %s", self.name, attempts, exc)
                 continue
-            try:
-                status = self.admin.status()
-            except (AdminTimeout, AdminUnreachable):
-                continue
-            if status["genesisHash"] != self.expected_genesis_hash:
-                self._emit(NodeEvent(RECOVERY_FAILED, time.time()))
-                raise RecoveryFailed(
-                    f"{self.name}: restarted node reports genesis {status['genesisHash']}, "
-                    f"expected {self.expected_genesis_hash}"
-                )
-            resubmitted = self._resubmit_pending()
             self._consecutive_timeouts = 0
             self._last_height = status["height"]
             report = RecoveryReport(restarted=True, resubmitted=resubmitted, attempts=attempts)

@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import json
 import logging
+import os
 import socket
 import statistics
 import struct
@@ -33,6 +34,7 @@ from chainyard.protocol import (
     AdminClient,
     AdminError,
     AdminTimeout,
+    AdminUnreachable,
     Server,
     framed_request,
     recv_framed,
@@ -490,6 +492,76 @@ def test_a_burst_of_clients_connecting_at_once_is_served_without_a_syn_retransmi
             assert max(took) < 0.5, f"burst {burst}: slowest reply took {max(took):.2f}s"  # a dropped SYN waits 1 s
     finally:
         server.stop()
+
+
+def open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_a_serving_server_holds_one_descriptor_and_none_once_stopped():
+    before = open_descriptors()
+    server = Server(("127.0.0.1", 0), lambda sock: send_framed(sock, recv_framed(sock)))
+    server.start()
+    assert open_descriptors() - before == 1  # the listening socket, nothing more
+    assert framed_request("127.0.0.1", server.server_address[1], {"n": 1}) == {"n": 1}
+    wait_until(lambda: open_descriptors() - before == 1, timeout=2.0, message="the served connection closed")
+    server.stop()
+    assert open_descriptors() == before
+
+
+def test_an_admin_client_that_goes_away_costs_no_server_thread_an_exception(tmp_path, boot):
+    config, _, dirs = deploy(tmp_path, suffix="gone")
+    boot(dirs["prosumer1"])
+    threads = threading.active_count()
+    spec = next(node for node in config.clients if node.name == "prosumer1")
+    address = (spec.host, spec.admin_port)
+    socket.create_connection(address, timeout=3).close()  # connects and sends nothing
+    for request in (b'{"op": "status"}\n', b'{"op": "sta'):  # a whole request, and half of one
+        with socket.create_connection(address, timeout=3) as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.sendall(request)
+        # closed with a zero linger: a reset, before the reply is read
+    wait_until(lambda: threading.active_count() <= threads, timeout=3.0, message="every connection served")
+    assert admin_for(config, "prosumer1").status()["name"] == "prosumer1"
+
+
+@pytest.mark.parametrize("reply", [b'{"ok": true, "resu', b'{"ok": tr\n'], ids=["torn", "garbled"])
+def test_an_admin_reply_that_is_torn_or_garbled_is_unreachable(reply):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def answer() -> None:
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(4096)
+                conn.sendall(reply)  # and close, as a node killed in the middle of its reply does
+
+        answerer = threading.Thread(target=answer, daemon=True)
+        answerer.start()
+        with pytest.raises(AdminUnreachable):
+            AdminClient(*listener.getsockname(), timeout=3).status()
+        answerer.join(timeout=3)
+
+
+def test_a_catch_up_from_a_peer_that_is_down_is_logged_and_skipped(tmp_path, boot, caplog):
+    config, _, dirs = deploy(tmp_path, suffix="gap")
+    client = boot(dirs["prosumer1"])
+    with socket.create_server(("127.0.0.1", 0)) as closed:
+        down = closed.getsockname()[1]  # no listener once closed
+    block = {
+        "height": 7,
+        "parentHash": "ab" * 32,
+        "timestamp": 0,
+        "miner": "cd" * 32,
+        "powNonce": 0,
+        "transactions": [],
+        "blockHash": "ef" * 32,
+    }
+    message = {"kind": "new_block", "from": {"host": "127.0.0.1", "port": down}, "block": block}
+    with caplog.at_level(logging.INFO, logger="chainyard.node"):
+        reply = framed_request(client.identity.host, client.identity.blockchain_port, message)
+        assert reply["status"] == "BadParent"
+        wait_until(lambda: f"_sync_from with peer 127.0.0.1:{down} failed" in caplog.text, timeout=5.0)
+    assert client.chain.height == 0
 
 
 def test_torn_final_block_line_is_truncated_and_the_miner_mines_on(tmp_path, caplog):

@@ -382,6 +382,45 @@ def test_manual_recover_resubmits_pending(wrapped):
     )
 
 
+class OnceTimingOut:
+    """The wrapper's admin client, except that the first ``op`` asked from the thread that made it times out.
+
+    Calls from any other thread, the monitor's among them, go to the real client, so they cannot use up the timeout.
+    """
+
+    def __init__(self, admin: AdminClient, op: str):
+        self._admin, self._op = admin, op
+        self._thread = threading.current_thread()
+        self.timed_out = 0
+
+    def __getattr__(self, name):
+        if name != self._op or self.timed_out or threading.current_thread() is not self._thread:
+            return getattr(self._admin, name)
+
+        def time_out(*args, **kwargs):
+            self.timed_out += 1
+            raise AdminTimeout(f"{name} timed out")
+
+        return time_out
+
+
+@pytest.mark.parametrize("op", ["status", "submit_tx"], ids=["status after restart", "resubmission"])
+def test_a_recovery_attempt_cut_short_by_a_timeout_is_tried_again_from_a_stop(wrapped, op):
+    manager, config, wrappers = wrapped(auto_recover=False, block_interval=0.1)
+    wrapper = wrappers["prosumer1"]
+    wrapper.backoff_base = 0.05
+    wrapper.admin.set_fault("stall_mempool")
+    tx_id = wrapper.submit(wrappers["dso1"].account, 2)
+    wrapper.admin = flaky = OnceTimingOut(wrapper.admin, op)
+    report = wrapper.recover()
+    assert flaky.timed_out == 1
+    assert (report.restarted, report.attempts, report.resubmitted) == (True, 2, 1)
+    assert wrapper.launcher.running_pid(wrapper.identity.host, wrapper.paths.root) == int(wrapper.paths.pid.read_text())
+    wait_until(
+        lambda: wrapper.admin.get_transaction(tx_id)["status"] == "mined", timeout=20, message="tx mined after recover"
+    )
+
+
 def test_recover_leaves_a_process_holding_a_stale_pid_alone(live_network, foreign_process):
     manager, config = live_network(prosumers=1, block_interval=0.1)
     manager.network_stop()
