@@ -56,7 +56,7 @@ class Server:
         while not self._stopped:
             try:
                 sock, _ = self._listener.accept()
-            except OSError:  # stop() shut the listener down, or this one connection failed
+            except OSError:  # stop() shut the listener down; any other failure is tried again
                 continue
             threading.Thread(target=self._serve_and_close, args=(sock,), daemon=True).start()
 
