@@ -50,7 +50,6 @@ def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -
     parser.add_argument("--workspace", default="testnets", help="workspace root directory")
     parser.add_argument("--executor", choices=("local", "ssh"), default="local")
     parser.add_argument("--force", action="store_true", help="overwrite/recreate existing state")
-    parser.add_argument("--parallel", action="store_true", help="run per-node steps of a phase concurrently (start launches a host's nodes at once anyway)")
     parser.add_argument("--csv", help="write raw phase timings CSV (phase,node_count,rep,duration_seconds)")
     parser.add_argument("--json", dest="json_out", help="write machine-readable JSON report")
     parser.add_argument("--block-interval", type=float, default=NodeDefaults.block_interval)
@@ -97,7 +96,6 @@ def _manager(args, config: dsl.NetworkConfig) -> NetworkManager:
         args.workspace,
         executor=make_executor(args.executor),
         force=args.force,
-        parallel=args.parallel,
         node_defaults=NodeDefaults(block_interval=args.block_interval, max_block_txs=args.max_block_txs),
     )
 

@@ -3,7 +3,7 @@
 The manager performs exactly two kinds of effects on hosts: running a
 shell command and copying a file. The local executor targets localhost
 regardless of the host field (test mode); the ssh executor shells out
-to ssh/scp the way a deployment host would.
+to ssh the way a deployment host would.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import shutil
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 logger = logging.getLogger(__name__)
 
@@ -52,7 +53,7 @@ class LocalExecutor(Executor):
 
 
 class SshExecutor(Executor):
-    """Runs commands over ssh and copies files with scp.
+    """Runs commands over ssh, and copies a file as one ssh command that reads it from stdin.
 
     Assumes key-based auth is already set up for the configured hosts,
     matching how multi-host deployments are driven in practice.
@@ -65,21 +66,19 @@ class SshExecutor(Executor):
     def _target(self, host: str) -> str:
         return f"{self.user}@{host}" if self.user else host
 
-    def run(self, host: str, command: str) -> ExecResult:
+    def run(self, host: str, command: str, stdin: BinaryIO | None = None) -> ExecResult:
         argv = ["ssh", *self.ssh_options, self._target(host), command]
-        proc = subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        proc = subprocess.run(argv, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         logger.debug("ssh[%s]$ %s -> %d", host, command, proc.returncode)
         return ExecResult(proc.returncode, proc.stdout)
 
     def put_file(self, host: str, local_path: str | Path, remote_path: str | Path) -> None:
-        remote = shlex.quote(str(remote_path))
-        mkdir = self.run(host, f"mkdir -p {shlex.quote(str(Path(remote_path).parent))}")
-        if mkdir.status != 0:
-            raise OSError(f"mkdir on {host} failed: {mkdir.output}")
-        argv = ["scp", *self.ssh_options, str(local_path), f"{self._target(host)}:{remote}"]
-        proc = subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-        if proc.returncode != 0:
-            raise OSError(f"scp to {host} failed: {proc.stdout}")
+        # Both paths are quoted for the remote shell, which runs the whole command.
+        directory, remote = shlex.quote(str(Path(remote_path).parent)), shlex.quote(str(remote_path))
+        with open(local_path, "rb") as source:
+            copy = self.run(host, f"mkdir -p {directory} && cat > {remote}", stdin=source)
+        if copy.status != 0:
+            raise OSError(f"copy to {host} failed: {copy.output}")
 
 
 def make_executor(kind: str) -> Executor:

@@ -9,10 +9,10 @@ control beyond that uses the nodes' admin protocol.
 Each host question is asked one way: paths exist by one ``_exists`` probe,
 and a node runs exactly while it holds its ``node.pid`` lock (one
 ``NodeLauncher.running_pids`` probe per host), never because some process
-answers on its admin port. The create phases act node by node, with at
-least one host command per node, so their durations grow with the node
-count. Each error names the node it is about, and a probe that fails on
-its host raises ExecutorFailure naming the host.
+answers on its admin port. A phase works on all its hosts at once, and on
+each host's nodes in config order. The create phases take at least one
+host command per node. Each error names the node it is about, and a probe
+that fails on its host raises ExecutorFailure naming the host.
 
 Phase names mirror the canonical benchmark vocabulary: ClientsCreate,
 MinersCreate, BlockchainMake, BlockchainCreate, DistributeToClients,
@@ -26,6 +26,7 @@ import hashlib
 import json
 import logging
 import shlex
+import shutil
 import socket
 import statistics
 import tempfile
@@ -124,14 +125,12 @@ class NetworkManager:
         workspace: str | Path,
         executor: Executor | None = None,
         force: bool = False,
-        parallel: bool = False,
         node_defaults: NodeDefaults | None = None,
     ):
         self.config = config
         self.workspace = Path(workspace).resolve()
         self.executor = executor or LocalExecutor()
         self.force = force
-        self.parallel = parallel
         self.node_defaults = node_defaults or NodeDefaults()
         self.launcher = NodeLauncher(self.executor)
         self._node_dirs: dict[str, Path] = {}
@@ -198,21 +197,20 @@ class NetworkManager:
             raise ExecutorFailure(host, f"existence probe exited {result.status}: {result.output.strip()}")
         return [answer == "=1" for answer in answers]
 
-    def _running_pids(self, nodes: Sequence[NodeSpec]) -> dict[str, int | None]:
-        """Each node's pid while it holds its node.pid lock, else None: one lock probe per host.
+    def _host_pids(self, host: str, group: Sequence[NodeSpec]) -> dict[str, int | None]:
+        """Each node's pid while it holds its node.pid lock, else None: one lock probe of host.
 
         A probe that fails raises ExecutorFailure; it never reads as "not running".
         """
+        try:
+            found = self.launcher.running_pids(host, [self.node_dir(n.name) for n in group])
+        except ProbeFailed as exc:
+            raise ExecutorFailure(host, str(exc)) from None
+        return {n.name: found[self.node_dir(n.name)] for n in group}
+
+    def _running_pids(self, nodes: Sequence[NodeSpec]) -> dict[str, int | None]:
         pids: dict[str, int | None] = {}
-
-        def probe(host: str, group: list[NodeSpec]) -> None:
-            try:
-                found = self.launcher.running_pids(host, [self.node_dir(n.name) for n in group])
-            except ProbeFailed as exc:
-                raise ExecutorFailure(host, str(exc)) from None
-            pids.update((n.name, found[self.node_dir(n.name)]) for n in group)
-
-        self._each_host(nodes, probe)
+        self._each_host(nodes, lambda host, group: pids.update(self._host_pids(host, group)))
         return pids
 
     def _put_json(self, host: str, payload: dict, remote_path: Path) -> None:
@@ -224,21 +222,18 @@ class NetworkManager:
         finally:
             Path(tmp_path).unlink(missing_ok=True)
 
-    def _each(self, items: Sequence, fn: Callable) -> None:
-        if self.parallel and len(items) > 1:
-            with ThreadPoolExecutor(max_workers=min(16, len(items))) as pool:
-                for future in [pool.submit(fn, item) for item in items]:
-                    future.result()
-        else:
-            for item in items:
-                fn(item)
-
     def _each_host(self, nodes: Iterable[NodeSpec], fn: Callable[[str, list[NodeSpec]], None]) -> None:
-        """fn(host, its nodes) once per host of nodes."""
+        """fn(host, its nodes in config order) for all hosts at once: the first on this thread, others on their own."""
         hosts: dict[str, list[NodeSpec]] = {}
         for node in nodes:
             hosts.setdefault(node.host, []).append(node)
-        self._each(list(hosts.items()), lambda item: fn(*item))
+        groups = list(hosts.items())
+        with ThreadPoolExecutor(max_workers=max(1, len(groups) - 1)) as pool:  # a thread starts only on submit
+            futures = [pool.submit(fn, *group) for group in groups[1:]]
+            for group in groups[:1]:  # none when there are no nodes
+                fn(*group)
+            for future in futures:  # the first host's error, else the next in host order, once every host is done
+                future.result()
 
     def _timed(self, phase: Phase, body: Callable[[], None]) -> PhaseTiming:
         started = time.perf_counter()
@@ -252,22 +247,23 @@ class NetworkManager:
 
     # -- create phases ------------------------------------------------------
 
-    def _create_one(self, node: NodeSpec) -> None:
-        directory = self.node_dir(node.name)
-        if self._exists(node.host, [directory])[0]:
-            if not self.force:
-                raise AlreadyExists(f"node {node.name!r}: {directory} already exists (use force to recreate)")
-            self._run(node.host, f"rm -rf {shlex.quote(str(directory))}")
-        # The copy makes the node directory: put_file makes a path's missing parents.
-        self._put_json(node.host, self.node_identity(node).dump(), NodePaths(directory).node_json)
+    def _create_host(self, host: str, group: list[NodeSpec]) -> None:
+        for node in group:
+            directory = self.node_dir(node.name)
+            if self._exists(host, [directory])[0]:
+                if not self.force:
+                    raise AlreadyExists(f"node {node.name!r}: {directory} already exists (use force to recreate)")
+                self._run(host, f"rm -rf {shlex.quote(str(directory))}")
+            # The copy makes the node directory: put_file makes a path's missing parents.
+            self._put_json(host, self.node_identity(node).dump(), NodePaths(directory).node_json)
 
     def clients_create(self) -> PhaseTiming:
         self.ensure_valid()
-        return self._timed(Phase.CLIENTS_CREATE, lambda: self._each(self.config.clients, self._create_one))
+        return self._timed(Phase.CLIENTS_CREATE, lambda: self._each_host(self.config.clients, self._create_host))
 
     def miners_create(self) -> PhaseTiming:
         self.ensure_valid()
-        return self._timed(Phase.MINERS_CREATE, lambda: self._each(self.config.miners, self._create_one))
+        return self._timed(Phase.MINERS_CREATE, lambda: self._each_host(self.config.miners, self._create_host))
 
     def blockchain_make(self) -> PhaseTiming:
         """Produce the genesis document from the network document (idempotent)."""
@@ -290,21 +286,22 @@ class NetworkManager:
             raise MissingGenesis(f"{self.genesis_path()} missing: run blockchain-make first")
         genesis_hash = json.loads(self.genesis_path().read_text(encoding="utf-8"))["genesisHash"]
 
-        def init_one(node: NodeSpec) -> None:
-            directory = self.node_dir(node.name)
-            paths = NodePaths(directory)
-            created, initialized = self._exists(node.host, [directory, paths.blocks])
-            if not created:
-                raise NotCreated(f"miner {node.name!r}: {directory} missing (run miners-create first)")
-            blocks = shlex.quote(str(paths.blocks))
-            if initialized:
-                if not self.force:
-                    raise AlreadyExists(f"miner {node.name!r}: chain store already initialized")
-                self._run(node.host, f"rm -f {blocks} {shlex.quote(str(paths.mempool))}")
-            self._run(node.host, f"touch {blocks}")
-            self._put_json(node.host, meta_document(genesis_hash), paths.meta)
+        def init_host(host: str, group: list[NodeSpec]) -> None:
+            for node in group:
+                directory = self.node_dir(node.name)
+                paths = NodePaths(directory)
+                created, initialized = self._exists(host, [directory, paths.blocks])
+                if not created:
+                    raise NotCreated(f"miner {node.name!r}: {directory} missing (run miners-create first)")
+                blocks = shlex.quote(str(paths.blocks))
+                if initialized:
+                    if not self.force:
+                        raise AlreadyExists(f"miner {node.name!r}: chain store already initialized")
+                    self._run(host, f"rm -f {blocks} {shlex.quote(str(paths.mempool))}")
+                self._run(host, f"touch {blocks}")
+                self._put_json(host, meta_document(genesis_hash), paths.meta)
 
-        return self._timed(Phase.BLOCKCHAIN_CREATE, lambda: self._each(self.config.miners, init_one))
+        return self._timed(Phase.BLOCKCHAIN_CREATE, lambda: self._each_host(self.config.miners, init_host))
 
     def distribute(self, targets: str) -> PhaseTiming:
         """Copy the genesis file to every target node, digest-verified after copy.
@@ -322,15 +319,16 @@ class NetworkManager:
             present = self._exists(host, [self.node_dir(n.name) for n in group])
             missing.update(n.name for n, found in zip(group, present) if not found)
 
-        def copy_one(node: NodeSpec) -> None:
-            destination = NodePaths(self.node_dir(node.name)).genesis
-            self.executor.put_file(node.host, self.genesis_path(), destination)
-            output = self._run(node.host, f"sha256sum {shlex.quote(str(destination))}")
-            copied_digest = output.split()[0] if output.split() else ""
-            if copied_digest != source_digest:
-                raise DistributeHashMismatch(
-                    node.name, f"copied genesis digest {copied_digest} != source {source_digest}"
-                )
+        def copy_host(host: str, group: list[NodeSpec]) -> None:
+            for node in group:
+                destination = NodePaths(self.node_dir(node.name)).genesis
+                self.executor.put_file(host, self.genesis_path(), destination)
+                output = self._run(host, f"sha256sum {shlex.quote(str(destination))}")
+                copied_digest = output.split()[0] if output.split() else ""
+                if copied_digest != source_digest:
+                    raise DistributeHashMismatch(
+                        node.name, f"copied genesis digest {copied_digest} != source {source_digest}"
+                    )
 
         def body() -> None:
             self._each_host(nodes, check_host)  # every directory is probed before any copy
@@ -338,7 +336,7 @@ class NetworkManager:
             if first_missing is not None:
                 directory = self.node_dir(first_missing.name)
                 raise NotCreated(f"node {first_missing.name!r}: {directory} missing (create it first)")
-            self._each(nodes, copy_one)
+            self._each_host(nodes, copy_host)
 
         return self._timed(phase, body)
 
@@ -376,7 +374,7 @@ class NetworkManager:
             missing = [d for d, found in zip(names, present) if not found]
             if missing:
                 raise NotCreated(f"node {names[missing[0]]!r}: not created/distributed (no genesis in {missing[0]})")
-            pids = self._running_pids(group)
+            pids = self._host_pids(host, group)
             running = [n for n in group if pids[n.name] is not None]
             if running and not self.force:
                 raise AlreadyRunning(f"node {running[0].name!r} is already running")
@@ -396,31 +394,33 @@ class NetworkManager:
         if down:
             raise NotRunning(f"cannot connect: nodes not running: {', '.join(sorted(down))}")
 
-        def connect_one(client_spec: NodeSpec) -> None:
-            admin = self.admin(client_spec, timeout=5.0)
-            for miner in self.config.miners:
-                try:
-                    admin.add_peer(miner.host, miner.blockchain_port)
-                except (AdminError, AdminTimeout, AdminUnreachable) as exc:
-                    raise ExecutorFailure(client_spec.host, f"connect {client_spec.name} -> {miner.name}: {exc}")
+        def connect_host(host: str, clients: list[NodeSpec]) -> None:
+            for client_spec in clients:
+                admin = self.admin(client_spec, timeout=5.0)
+                for miner in self.config.miners:
+                    try:
+                        admin.add_peer(miner.host, miner.blockchain_port)
+                    except (AdminError, AdminTimeout, AdminUnreachable) as exc:
+                        raise ExecutorFailure(host, f"connect {client_spec.name} -> {miner.name}: {exc}")
 
-        return self._timed(Phase.NETWORK_CONNECT, lambda: self._each(self.config.clients, connect_one))
-
-    def _stop_one(self, node: NodeSpec, pid: int) -> None:
-        started = time.perf_counter()
-        escalated = self.launcher.stop(node.host, self.admin(node), self.node_dir(node.name), pid)
-        # The stop anomaly reported at larger network sizes makes per-node
-        # latencies worth keeping around for later investigation.
-        logger.info(
-            "stop %s: %.3fs%s", node.name, time.perf_counter() - started, " (escalated to kill)" if escalated else ""
-        )
+        return self._timed(Phase.NETWORK_CONNECT, lambda: self._each_host(self.config.clients, connect_host))
 
     def network_stop(self) -> PhaseTiming:
         pids = self._running_pids(self.config.all_nodes())
         running = [n for n in self.config.all_nodes() if pids[n.name] is not None]
         if not running:
             raise NotRunning("no nodes of this network are running")
-        return self._timed(Phase.NETWORK_STOP, lambda: self._each(running, lambda n: self._stop_one(n, pids[n.name])))
+
+        def stop_host(host: str, group: list[NodeSpec]) -> None:
+            for node in group:
+                started = time.perf_counter()
+                escalated = self.launcher.stop(host, self.admin(node), self.node_dir(node.name), pids[node.name])
+                # The stop anomaly reported at larger network sizes makes per-node
+                # latencies worth keeping around for later investigation.
+                note = " (escalated to kill)" if escalated else ""
+                logger.info("stop %s: %.3fs%s", node.name, time.perf_counter() - started, note)
+
+        return self._timed(Phase.NETWORK_STOP, lambda: self._each_host(running, stop_host))
 
     def network_delete(self) -> PhaseTiming:
         """Remove every node directory and the configuration directory: one probe and one rm per host.
@@ -444,7 +444,7 @@ class NetworkManager:
 
         def body() -> None:
             self._each_host(self.config.all_nodes(), delete_host)
-            self._run("localhost", f"rm -rf {shlex.quote(str(self.config_dir()))}")
+            shutil.rmtree(self.config_dir())
 
         return self._timed(Phase.NETWORK_DELETE, body)
 
@@ -663,11 +663,8 @@ def _cleanup_best_effort(manager: NetworkManager) -> None:
         force=True,
         node_defaults=manager.node_defaults,
     )
-    try:
-        cleanup.network_stop()
-    except ManagerError:
-        pass
-    try:
-        cleanup.network_delete()
-    except ManagerError:
-        pass
+    for step in (cleanup.network_stop, cleanup.network_delete):
+        try:
+            step()
+        except (ManagerError, OSError):  # the configuration directory is removed in-process
+            pass

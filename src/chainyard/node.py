@@ -42,7 +42,7 @@ from typing import Any, Callable, TypeVar
 from . import chain as chainmod
 from .chain import Block, Chain, Transaction
 from .genesis import GENESIS_FILE, GenesisDocument, read_genesis
-from .protocol import Server, framed_request, reply_framed
+from .protocol import MAX_FRAME, Server, framed_request, reply_framed
 
 logger = logging.getLogger(__name__)
 
@@ -511,9 +511,9 @@ class NodeRuntime:
             logger.debug("%s: admin client went away: %r", self.identity.name, exc)
 
     def _answer_admin(self, sock: socket.socket) -> None:
-        """Answer one admin request line; a ``stop`` takes effect once its reply is on the wire."""
+        """Answer one admin request line, of at most MAX_FRAME bytes; a ``stop`` takes effect once its reply is sent."""
         with sock.makefile("rb") as rfile:
-            line = rfile.readline()
+            line = rfile.readline(MAX_FRAME + 1)
         if not line:
             return
         if self.fault == "unresponsive":
@@ -522,6 +522,8 @@ class NodeRuntime:
             return
         op = None
         try:
+            if len(line) > MAX_FRAME:
+                raise ValueError(f"request line longer than {MAX_FRAME} bytes")
             request = json.loads(line.decode("utf-8"))
             op = request.get("op")
             params = request.get("params") or {}

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import shlex
 import subprocess
 import time
 from pathlib import Path
@@ -186,3 +187,56 @@ def foreign_process():
     yield proc
     proc.kill()
     proc.wait(timeout=5)
+
+
+# -- hosts on loopback, reached through an ssh shim ---------------------------------
+
+
+SSH_SHIM = """#!/bin/sh
+# ssh [-o option]... host command: logs the host and runs the command on this machine, stdin passed through.
+while :; do
+    case $1 in
+        -o) shift 2 ;;
+        -o*) shift ;;
+        *) break ;;
+    esac
+done
+host=$1
+shift
+echo "$host" >> {log}
+unreachable=
+[ -r {unreachable} ] && read -r unreachable < {unreachable}
+if [ "$host" = "$unreachable" ]; then
+    echo "ssh: connect to host $host port 22: Connection refused" >&2
+    exit 255
+fi
+exec /bin/sh -c "$*"
+"""
+
+
+class SshHosts:
+    """The ``ssh`` that the ssh_hosts fixture puts first on PATH: every host is this machine, one may be down."""
+
+    def __init__(self, directory: Path):
+        self.log = directory / "hosts.log"
+        self.down = directory / "unreachable"
+        shim = directory / "ssh"
+        shim.write_text(SSH_SHIM.format(log=shlex.quote(str(self.log)), unreachable=shlex.quote(str(self.down))))
+        shim.chmod(0o755)
+
+    def hosts(self) -> list[str]:
+        """The host of every ssh call so far, in call order."""
+        return self.log.read_text().split() if self.log.exists() else []
+
+    def unreachable(self, host: str) -> None:
+        """From now on, ssh to host exits 255, as ssh does when it cannot connect."""
+        self.down.write_text(host + "\n")
+
+
+@pytest.fixture
+def ssh_hosts(tmp_path, monkeypatch) -> SshHosts:
+    """An ssh shim first on PATH. Nodes on 127.0.0.1, .2 and .3 are then three hosts: Linux routes 127/8 to loopback."""
+    directory = tmp_path / "ssh-shim"
+    directory.mkdir()
+    monkeypatch.setenv("PATH", f"{directory}{os.pathsep}{os.environ.get('PATH', '')}")
+    return SshHosts(directory)

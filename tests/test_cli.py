@@ -65,6 +65,14 @@ def test_no_subcommand_usage_exit():
     assert main([]) == 64
 
 
+def test_the_removed_parallel_flag_is_a_usage_error(tmp_path):
+    path, config = write_config(tmp_path, suffix="cli10")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["create", "--config", str(path), "--workspace", str(tmp_path / "ws"), "--parallel"])
+    assert excinfo.value.code == 64
+    assert not (tmp_path / "ws" / config.configuration_name).exists()
+
+
 def test_create_prints_phase_timings_and_csv(tmp_path, capsys):
     path, config = write_config(tmp_path, suffix="cli2")
     csv_path = tmp_path / "timings.csv"

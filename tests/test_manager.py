@@ -439,24 +439,6 @@ def test_blockchain_make_does_not_validate_a_second_time(tmp_path, monkeypatch):
     assert read_genesis(manager.genesis_path()).genesis_hash == expected
 
 
-def test_parallel_create_and_start(tmp_path):
-    manager, config = quick_manager(tmp_path, prosumers=3, suffix="c15", parallel=True)
-    try:
-        manager.network_create()
-        manager.start("miners")
-        manager.start("clients")
-        manager.network_connect()
-        status = manager.network_status()
-        assert status["miner1"]["peers"] == 4
-    finally:
-        cleanup = NetworkManager(config, tmp_path / "ws", force=True)
-        try:
-            cleanup.network_stop()
-        except ManagerError:
-            pass
-        cleanup.network_delete()
-
-
 def test_delete_refuses_running_network(live_network):
     manager, _ = live_network(prosumers=1, connect=False)
     with pytest.raises(ManagerError, match="refusing to delete"):

@@ -141,6 +141,21 @@ def test_admin_malformed_request(tmp_path, boot):
     assert reply["error"]["code"] == "MalformedRequest"
 
 
+def test_an_admin_request_line_longer_than_max_frame_is_malformed(tmp_path, boot):
+    config, _, dirs = deploy(tmp_path, suffix="long")
+    boot(dirs["prosumer1"])
+    node = config.clients[0]
+    chunk = b"x" * (1 << 20)
+    with socket.create_connection((node.host, node.admin_port), timeout=5) as sock:
+        for _ in range(MAX_FRAME // len(chunk)):
+            sock.sendall(chunk)
+        sock.sendall(b"x")  # MAX_FRAME + 1 bytes and no newline; the socket stays open
+        with sock.makefile("rb") as rfile:
+            reply = json.loads(rfile.readline())
+    assert reply["error"]["code"] == "MalformedRequest"
+    assert admin_for(config, "prosumer1").status()["name"] == "prosumer1"
+
+
 def test_miner_mines_and_includes_tx(tmp_path, boot):
     config, _, dirs = deploy(tmp_path, suffix="d")
     boot(dirs["miner1"])
