@@ -8,6 +8,12 @@ life and writes its pid there. The lock goes with the process, even when
 the process lingers as a zombie, so a pid counts as this node's exactly
 while a process holds the lock and the file names that pid: a stale
 ``node.pid`` whose pid another process has since taken is locked by nobody.
+
+Nodes start from a warm launcher: a process per host that has imported
+the node and forks nodes on request (``forkserver.launch``). It holds the same
+kind of lock on its own pid file, and exits once no node it forked is
+alive. A launch asks it through a client that skips ``site`` and imports
+only ``_socket``, and becomes the launcher when none runs.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .executor import Executor, LocalExecutor
+from .forkserver import LAUNCH_CLIENT, NO_LAUNCHER, launcher_files, launcher_home
 from .node import NodePaths
 from .protocol import AdminClient, AdminError, AdminTimeout, AdminUnreachable
 
@@ -43,13 +50,25 @@ class NodeLauncher:
         self.executor = executor or LocalExecutor()
 
     def start(self, host: str, data_dirs: Sequence[Path]) -> dict[Path, int]:
-        """Start the nodes of data_dirs in the background, from one interpreter; return each one's pid.
+        """Start the nodes of data_dirs in the background, through the host's launcher; return each one's pid.
+
+        One host command, run in the nodes' common parent directory. If a
+        live launcher holds the host's launcher lock, the ``python -S``
+        client asks it; else, or if it answers nothing, ``python -m
+        chainyard.node --detach`` runs, which becomes the launcher.
 
         Returns once every node serves admin. Raises LaunchFailed, naming each
         node that exited or did not serve admin in time; the others keep running.
         """
-        dirs = " ".join(f"--data-dir {shlex.quote(str(d))}" for d in data_dirs)
-        command = f"{shlex.quote(sys.executable)} -m chainyard.node --detach {dirs}"
+        lock_name, socket_name = launcher_files(host)
+        python = shlex.quote(sys.executable)
+        dirs = [shlex.quote(str(d)) for d in data_dirs]
+        client = f"{python} -S -c {shlex.quote(LAUNCH_CLIENT)} {shlex.quote(socket_name)} {' '.join(dirs)}"
+        command = (
+            f"cd {shlex.quote(str(launcher_home(data_dirs)))} || exit; {_holder(lock_name)}; "
+            f'if [ -n "$p" ]; then {client}; s=$?; [ $s = {NO_LAUNCHER} ] || exit $s; fi; '
+            f"exec {python} -m chainyard.node --detach {' '.join(f'--data-dir {d}' for d in dirs)}"
+        )
         result = self.executor.run(host, command)
         try:
             report = json.loads(result.output.strip().splitlines()[-1])  # the launch's last line
@@ -63,7 +82,7 @@ class NodeLauncher:
 
     def running_pids(self, host: str, data_dirs: Sequence[Path]) -> dict[Path, int | None]:
         """Each directory's node pid if a live node holds its node.pid, else None: one host command."""
-        probes = "; ".join(f'{_holder(d)}; echo "=$p"' for d in data_dirs)
+        probes = "; ".join(f'{_holder(NodePaths(d).pid)}; echo "=$p"' for d in data_dirs)
         result = self.executor.run(host, probes)
         lines = [line[1:] for line in result.output.splitlines() if line.startswith("=")]
         if result.status != 0 or len(lines) < len(data_dirs):
@@ -77,13 +96,13 @@ class NodeLauncher:
     def await_gone(self, host: str, data_dir: Path, pid: int) -> bool:
         """Wait on the host, up to STOP_GRACE, until pid no longer holds the lock; False if it outlived the wait."""
         wait = f'[ "$p" != {pid} ] || flock -w {STOP_GRACE:g} -s 9'
-        return self.executor.run(host, _holder(data_dir, then=wait)).status == 0
+        return self.executor.run(host, _holder(NodePaths(data_dir).pid, then=wait)).status == 0
 
     def kill(self, host: str, data_dir: Path, pid: int | None) -> None:
         """kill -9 the node if pid still holds its lock, then wait until it is gone: one host command."""
         if pid is not None:
             kill = f'[ "$p" != {pid} ] || {{ kill -9 {pid}; flock -w {STOP_GRACE:g} -s 9; }}'
-            self.executor.run(host, _holder(data_dir, then=kill))
+            self.executor.run(host, _holder(NodePaths(data_dir).pid, then=kill))
 
     def stop(self, host: str, admin: AdminClient, data_dir: Path, pid: int | None) -> bool:
         """Ask the node to stop, wait for pid to go, and kill -9 it if it does not; True if it escalated."""
@@ -100,15 +119,15 @@ class NodeLauncher:
         """Nothing to reap: nodes start detached, not as children of this process."""
 
 
-def _holder(data_dir: Path, then: str = ":") -> str:
-    """Shell that sets $p to the pid in data_dir's node.pid while a process holds its lock, else to '', then runs then.
+def _holder(pid_file: str | Path, then: str = ":") -> str:
+    """Shell that sets $p to the pid in pid_file while a process holds its lock, else to '', then runs then.
 
     The probe takes a shared lock, so it never holds off another probe, and a
-    starting node retries past it. then runs with node.pid open on fd 9. A
-    node.pid that is missing, or that its node removed on exit, means no node:
-    the status is then 0, whatever then returned.
+    starting node or launcher retries past it. then runs with pid_file open
+    on fd 9. A pid_file that is missing, or that its holder removed on exit,
+    means no holder: the status is then 0, whatever then returned.
     """
-    pid_file = shlex.quote(str(NodePaths(data_dir).pid))
+    pid_file = shlex.quote(str(pid_file))
     return (
         f"p=; {{ flock -n -s -E 75 9; [ $? = 75 ] && read -r p <&9; {then}; }} 2>/dev/null 9<{pid_file} "
         f"|| test ! -e {pid_file}"

@@ -365,28 +365,40 @@ class NetworkManager:
         raise ValueError(f"targets must be 'clients' or 'miners', got {targets!r}")
 
     def start(self, targets: str) -> PhaseTiming:
-        """Start the target nodes: one launch per host, which returns once each of its nodes serves admin."""
-        nodes, phase = self._select_targets(targets, Phase.CLIENTS_START, Phase.MINER_START)
+        """Start the target nodes: one launch per host, which returns once each of its nodes serves admin.
 
-        def start_host(host: str, group: list[NodeSpec]) -> None:
+        Every host is probed before any node is killed or launched, so a
+        probe that fails on one host starts nothing on the others.
+        """
+        nodes, phase = self._select_targets(targets, Phase.CLIENTS_START, Phase.MINER_START)
+        pids: dict[str, int | None] = {}
+
+        def probe_host(host: str, group: list[NodeSpec]) -> None:
             names = {self.node_dir(n.name): n.name for n in group}
             present = self._exists(host, [NodePaths(d).genesis for d in names])
             missing = [d for d, found in zip(names, present) if not found]
             if missing:
                 raise NotCreated(f"node {names[missing[0]]!r}: not created/distributed (no genesis in {missing[0]})")
-            pids = self._host_pids(host, group)
-            running = [n for n in group if pids[n.name] is not None]
-            if running and not self.force:
-                raise AlreadyRunning(f"node {running[0].name!r} is already running")
-            for node in running:
-                self.launcher.kill(host, self.node_dir(node.name), pids[node.name])
+            pids.update(self._host_pids(host, group))
+
+        def launch_host(host: str, group: list[NodeSpec]) -> None:
+            names = {self.node_dir(n.name): n.name for n in group}
+            for node in group:
+                self.launcher.kill(host, self.node_dir(node.name), pids[node.name])  # a pid gets here only with force
             try:
                 self.launcher.start(host, list(names))
             except LaunchFailed as exc:
                 detail = "; ".join(f"node {names[d]!r} {why}" for d, why in exc.failed.items()) or str(exc)
                 raise ExecutorFailure(host, detail) from exc
 
-        return self._timed(phase, lambda: self._each_host(nodes, start_host))
+        def body() -> None:
+            self._each_host(nodes, probe_host)
+            running = [n for n in nodes if pids[n.name] is not None]
+            if running and not self.force:
+                raise AlreadyRunning(f"node {running[0].name!r} is already running")
+            self._each_host(nodes, launch_host)
+
+        return self._timed(phase, body)
 
     def network_connect(self) -> PhaseTiming:
         """Form the star: every client peers with every miner."""

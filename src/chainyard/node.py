@@ -11,8 +11,10 @@ A node runs from a data directory prepared by the manager:
     node.pid       pid of the running process, which holds an exclusive flock on it
 
 Runnable standalone: ``python -m chainyard.node --data-dir DIR``. With
-``--detach`` and one ``--data-dir`` per node, one interpreter forks a
-background node per directory and returns once each serves admin.
+``--detach`` and one ``--data-dir`` per node, the host's launcher forks a
+background node per directory, and the command returns once each serves
+admin. The first such command on a host becomes that launcher, which
+exits by itself once no node it forked is alive.
 
 Fault modes replicate failure behaviors seen in real deployments:
 ``stall_mempool`` keeps mining blocks but never includes (or forwards)
@@ -28,7 +30,6 @@ import itertools
 import json
 import logging
 import os
-import select
 import signal
 import socket
 import sys
@@ -42,7 +43,7 @@ from typing import Any, Callable, TypeVar
 from . import chain as chainmod
 from .chain import Block, Chain, Transaction
 from .genesis import GENESIS_FILE, GenesisDocument, read_genesis
-from .protocol import MAX_FRAME, Server, framed_request, reply_framed
+from .protocol import Server, framed_request, reply_framed
 
 logger = logging.getLogger(__name__)
 
@@ -52,11 +53,10 @@ FAULT_MODES = ("none", "stall_mempool", "unresponsive")
 UNRESPONSIVE_HANG_SECONDS = 600.0
 SYNC_BATCH = 500
 HELLO_TIMEOUT = 3.0  # seconds a peer gets to answer a hello; a restarted node serves admin after this at most
+ADMIN_LINE_MAX = 64 * 1024  # bytes in an admin request line; the largest the program sends, a submit_tx, is < 1 KiB
 
 DEFAULT_BLOCK_INTERVAL = 0.25
-START_TIMEOUT = 15.0  # seconds a detached node has to serve admin before its launcher kills it
-LOCK_WAIT = 0.5  # seconds a starting node retries a held node.pid lock: a probe holds it far less
-READY = b"R"  # what a detached node writes to its launcher once it serves admin
+LOCK_WAIT = 0.5  # seconds a starting node or launch retries a held lock: a probe holds it far less
 
 
 class PortInUse(OSError):
@@ -511,9 +511,9 @@ class NodeRuntime:
             logger.debug("%s: admin client went away: %r", self.identity.name, exc)
 
     def _answer_admin(self, sock: socket.socket) -> None:
-        """Answer one admin request line, of at most MAX_FRAME bytes; a ``stop`` takes effect once its reply is sent."""
+        """Answer one admin request line of at most ADMIN_LINE_MAX bytes; a ``stop`` takes effect once answered."""
         with sock.makefile("rb") as rfile:
-            line = rfile.readline(MAX_FRAME + 1)
+            line = rfile.readline(ADMIN_LINE_MAX + 1)
         if not line:
             return
         if self.fault == "unresponsive":
@@ -522,8 +522,8 @@ class NodeRuntime:
             return
         op = None
         try:
-            if len(line) > MAX_FRAME:
-                raise ValueError(f"request line longer than {MAX_FRAME} bytes")
+            if len(line) > ADMIN_LINE_MAX:
+                raise ValueError(f"request line longer than {ADMIN_LINE_MAX} bytes")
             request = json.loads(line.decode("utf-8"))
             op = request.get("op")
             params = request.get("params") or {}
@@ -645,33 +645,45 @@ class _AdminFault(RuntimeError):
         self.code = code
 
 
+def try_lock(path: str | Path) -> int | None:
+    """Open path and take its exclusive flock without waiting; the fd, or None if another holds it.
+
+    A lock taken on a file that its holder unlinked meanwhile counts as not
+    taken, so the caller tries again on the file now at the path.
+    """
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_CLOEXEC, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        if os.path.samestat(os.fstat(fd), os.stat(path)):
+            return fd
+    except (BlockingIOError, FileNotFoundError):
+        pass
+    except BaseException:
+        os.close(fd)
+        raise
+    os.close(fd)
+    return None
+
+
 def _lock_pid_file(path: Path) -> int:
     """Take the exclusive flock on node.pid, write this process's pid into it, and return the fd.
 
     The lock lasts as long as the process, zombie state excluded, so a
     holder is a live node and a stale pid is locked by nobody. Probes take
     a shared lock for an instant, so a held lock is retried for LOCK_WAIT.
-    A lock on a file that its exiting node has just unlinked is dropped
-    and taken again on the file now at the path.
     """
     deadline = time.monotonic() + LOCK_WAIT
-    while True:
-        fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_CLOEXEC, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            if os.path.samestat(os.fstat(fd), os.stat(path)):
-                os.ftruncate(fd, 0)  # first, so a probe never reads a mix of two pids
-                os.write(fd, str(os.getpid()).encode())
-                return fd
-        except (BlockingIOError, FileNotFoundError):
-            pass
-        except BaseException:
-            os.close(fd)
-            raise
-        os.close(fd)
+    while (fd := try_lock(path)) is None:
         if time.monotonic() >= deadline:
             raise NodeRunning(f"{path} is locked: a node already runs on this data directory")
         time.sleep(0.01)
+    try:
+        os.ftruncate(fd, 0)  # first, so a probe never reads a mix of two pids
+        os.write(fd, str(os.getpid()).encode())
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
 
 
 def run_node(data_dir: Path, on_ready: Callable[[], None] | None = None) -> int:
@@ -716,77 +728,6 @@ def run_node(data_dir: Path, on_ready: Callable[[], None] | None = None) -> int:
         os.close(lock)
 
 
-def _forked_node(data_dir: Path, ready_fd: int) -> int:
-    """The body of a detached node, run in the child right after the fork."""
-    signal.signal(signal.SIGHUP, signal.SIG_IGN)  # as nohup: it outlives the session that started it
-    null = os.open(os.devnull, os.O_RDONLY)
-    log = os.open(NodePaths(data_dir).log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-    os.dup2(null, 0)
-    os.dup2(log, 1)
-    os.dup2(log, 2)
-    # Keep no descriptor of the launcher's: the read end of this pipe, or any the launcher inherited itself.
-    os.closerange(3, ready_fd)
-    os.closerange(ready_fd + 1, os.sysconf("SC_OPEN_MAX"))
-
-    def ready() -> None:
-        try:
-            os.write(ready_fd, READY)
-        except OSError:
-            pass  # a launcher that is gone leaves the node running, as nohup would
-        os.close(ready_fd)
-
-    return run_node(data_dir, ready)
-
-
-def launch(data_dirs: list[Path]) -> int:
-    """Fork one background node per data directory, all from this one interpreter.
-
-    The nodes start one at a time: each is forked once the one before it
-    serves admin, or has failed. A node gets START_TIMEOUT to serve admin,
-    or it is killed. Each node's pid is printed under "started", and each
-    failure's exit status under "failed", as one JSON object on the last
-    line. The parent opens no lock and no socket, so a child inherits none.
-
-    The parent sets up the C library's resolver once, with one address
-    lookup that leaves no descriptor open, so that each node's first peer
-    connection does not pay for it again.
-    """
-    socket.getaddrinfo("127.0.0.1", 0, type=socket.SOCK_STREAM)
-    sys.stdout.flush()
-    sys.stderr.flush()
-    started: dict[str, int] = {}
-    failed: dict[str, str] = {}
-    for data_dir in data_dirs:
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                status = _forked_node(data_dir, write_fd)
-            except Exception:
-                logger.exception("%s: node failed", data_dir)
-            finally:  # the child never returns into the launcher's loop
-                logging.shutdown()
-                os._exit(status)
-        os.close(write_fd)
-        if not select.select([read_fd], [], [], START_TIMEOUT)[0]:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            failed[str(data_dir)] = f"did not serve admin within {START_TIMEOUT:g}s and was killed"
-        elif os.read(read_fd, 1) == READY:
-            started[str(data_dir)] = pid
-        else:  # the pipe closed empty: the node exited before it served admin
-            failed[str(data_dir)] = _exit_text(os.waitpid(pid, 0)[1])
-        os.close(read_fd)
-    print(json.dumps({"started": started, "failed": failed}), flush=True)
-    return 1 if failed else 0
-
-
-def _exit_text(wait_status: int) -> str:
-    code = os.waitstatus_to_exitcode(wait_status)
-    return f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="chainyard-node", description="Run a simulated blockchain node")
     parser.add_argument(
@@ -795,7 +736,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--detach",
         action="store_true",
-        help="fork one background node per --data-dir; return once each serves admin, or name those that failed",
+        help="have the host's launcher fork one background node per --data-dir; return once each serves admin, "
+        "or name those that failed",
     )
     parser.add_argument("--log-level", default="INFO")
     args = parser.parse_args(argv)
@@ -808,9 +750,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     data_dirs = [Path(d) for d in args.data_dir]
     if args.detach:
+        from .forkserver import launch  # here, not at the top: forkserver imports this module
+
         os._exit(launch(data_dirs))  # its report is flushed and its nodes run on: skip the interpreter's teardown
     return run_node(data_dirs[0])
 
 
 if __name__ == "__main__":
+    sys.modules.setdefault("chainyard.node", sys.modules[__name__])  # so forkserver imports this copy, not a second
     sys.exit(main())

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from chainyard.dsl import GenesisParams, NetworkConfig, NodeSpec, parse_config
+from chainyard.forkserver import launcher_files
 from chainyard.manager import NetworkManager, NodeDefaults, make_bench_config
 
 # Node processes that the tests launch import chainyard from this source tree too.
@@ -118,6 +119,37 @@ def wait_until(condition, timeout: float = 10.0, interval: float = 0.02, message
     raise AssertionError(f"timed out after {timeout}s waiting for {message}")
 
 
+# -- no process outlives its test -------------------------------------------------
+
+
+def processes_naming(path: Path) -> dict[int, str]:
+    """Each live process whose command line names path, or a path inside it: pid -> command line. Reads only /proc."""
+    mark = os.fsencode(path)
+    found = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                cmdline = Path(f"/proc/{entry}/cmdline").read_bytes()  # empty for a zombie
+            except OSError:
+                continue
+            if mark + b"/" in cmdline or mark + b"\0" in cmdline:
+                found[int(entry)] = cmdline.replace(b"\0", b" ").decode(errors="replace").strip()
+    return found
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running(request):
+    """Fail a test if a process that names its tmp_path is still alive after the test's own cleanup, 2 s on."""
+    tmp_path = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
+    yield
+    if tmp_path is not None:
+        deadline = time.monotonic() + 2.0
+        while (left := processes_naming(tmp_path)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        if left:
+            pytest.fail(f"processes left running: {left}")
+
+
 # -- live-network helpers ----------------------------------------------------
 
 
@@ -178,6 +210,20 @@ def process_running(pid: int) -> bool:
     """Whether any process that is not a zombie holds pid, whatever it runs."""
     state = subprocess.run(["ps", "-o", "state=", "-p", str(pid)], capture_output=True, text=True).stdout.strip()
     return bool(state) and not state.startswith("Z")
+
+
+def parent_pid(pid: int) -> int:
+    """The parent of pid, read from /proc/<pid>/stat."""
+    return int(Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[1])
+
+
+def launcher_pid(config_dir: Path, host: str) -> int | None:
+    """The pid that host's launcher wrote into its pid file in config_dir, if the file is there and names one."""
+    try:
+        text = (config_dir / launcher_files(host)[0]).read_text()
+    except FileNotFoundError:
+        return None
+    return int(text) if text.isdigit() else None
 
 
 @pytest.fixture

@@ -16,9 +16,10 @@ from chainyard.executor import LocalExecutor, SshExecutor
 from chainyard.launcher import NodeLauncher
 from chainyard.manager import ExecutorFailure, ManagerError, NetworkManager, NodeDefaults, allocate_ports, make_bench_config
 from chainyard.node import load_blocks
+from chainyard.protocol import AdminClient
 from chainyard.tes import audit_report, run_day
 from chainyard.wrapper import NodeWrapper
-from conftest import BENCH_TEMPLATE
+from conftest import BENCH_TEMPLATE, launcher_pid, parent_pid, process_running, wait_until
 
 CLIENTS = (
     ("dso1", "dso", "127.0.0.2"),
@@ -70,19 +71,34 @@ class RecordingSsh(SshExecutor):
         return super().run(host, command, **kwargs)
 
 
-KINDS = {"existence probe": "test -e", "lock probe": "flock -n -s", "launch": "chainyard.node --detach"}
+KINDS = {"launch": "chainyard.node --detach", "existence probe": "test -e", "lock probe": "flock -n -s"}
 
 
 def kinds(calls: list[tuple[str, str]], host: str) -> list[str]:
-    """What each command sent to host was, in order; a command of no known kind stands as itself."""
+    """What each command sent to host was, in order; a command of no known kind stands as itself.
+
+    A launch also probes its launcher's lock, so its mark is tried first.
+    """
     return [next((k for k, mark in KINDS.items() if mark in command), command) for h, command in calls if h == host]
 
 
+def node_pids(manager: NetworkManager, nodes) -> dict[str, int | None]:
+    """Each node's pid while it holds its lock, else None, probed on this machine."""
+    dirs = {manager.node_dir(n.name): n.name for n in nodes}
+    return {dirs[d]: pid for d, pid in NodeLauncher(LocalExecutor()).running_pids("127.0.0.1", list(dirs)).items()}
+
+
 def running(manager: NetworkManager) -> set[str]:
-    """The nodes whose lock is held, probed on this machine."""
-    launcher = NodeLauncher(LocalExecutor())
-    dirs = {manager.node_dir(n.name): n.name for n in manager.config.all_nodes()}
-    return {dirs[d] for d, pid in launcher.running_pids("127.0.0.1", list(dirs)).items() if pid is not None}
+    """The nodes whose lock is held."""
+    return {name for name, pid in node_pids(manager, manager.config.all_nodes()).items() if pid is not None}
+
+
+def launchers(manager: NetworkManager) -> dict[str, int]:
+    """Each host's launcher: host -> the pid that is the parent of every node running there."""
+    pids = node_pids(manager, manager.config.all_nodes())
+    parents = {(n.host, parent_pid(pids[n.name])) for n in manager.config.all_nodes()}
+    assert len(dict(parents)) == len(parents), f"nodes of one host have different parents: {sorted(parents)}"
+    return dict(parents)
 
 
 def test_an_ssh_copy_is_one_command_and_keeps_an_awkward_path(ssh_hosts, tmp_path):
@@ -105,6 +121,10 @@ def test_a_network_on_three_hosts_lives_and_trades_through_ssh(ssh_hosts, networ
         assert sorted({host for host, _ in executor.calls}) == hosts
         for host in hosts:
             assert kinds(executor.calls, host) == ["existence probe", "lock probe", "launch"], host
+    hosts = launchers(manager)
+    assert sorted(hosts) == ["127.0.0.1", *CLIENT_HOSTS]
+    assert len(set(hosts.values())) == 3
+    assert hosts == {host: launcher_pid(manager.config_dir(), host) for host in hosts}
     manager.network_connect()
     status = manager.network_status()
     assert status["miner1"]["peers"] == 4
@@ -123,6 +143,7 @@ def test_a_network_on_three_hosts_lives_and_trades_through_ssh(ssh_hosts, networ
 
     manager.network_stop()
     assert running(manager) == set()
+    wait_until(lambda: not any(process_running(pid) for pid in hosts.values()), timeout=2, message="launchers gone")
     findings = audit_report(report, load_blocks(manager.node_dir("miner1")))
     assert len(findings) == 2 and all(f.ok for f in findings)
 
@@ -194,7 +215,7 @@ def test_a_host_that_ssh_cannot_reach_is_named_and_nothing_changes_elsewhere(ssh
         manager.start("clients")
     assert failure.value.host == "127.0.0.3"
     started = running(manager)
-    assert started == {"miner1", "dso1", "prosumer1"}  # 127.0.0.2 was started at the same time
+    assert started == {"miner1"}  # every host is probed before any launch
     for phase in (manager.network_stop, manager.network_delete):
         with pytest.raises(ExecutorFailure) as failure:
             phase()
@@ -202,3 +223,29 @@ def test_a_host_that_ssh_cannot_reach_is_named_and_nothing_changes_elsewhere(ssh
         assert running(manager) == started
         assert all(manager.node_dir(n.name).is_dir() for n in manager.config.all_nodes())
     assert manager.genesis_path().is_file()
+
+
+def test_force_restarts_running_clients_on_every_host_through_ssh(ssh_hosts, networks):
+    manager = networks(SshExecutor())
+    config = manager.config
+    NetworkManager(config, manager.workspace).network_create()  # locally: no copy is under test here
+    manager.start("miners")
+    manager.start("clients")
+    manager.network_connect()
+    before = node_pids(manager, config.clients)
+
+    forced = NetworkManager(
+        config, manager.workspace, executor=SshExecutor(), force=True, node_defaults=manager.node_defaults
+    )
+    forced.start("clients")
+    after = node_pids(manager, config.clients)
+    assert all(after.values()) and not set(after.values()) & set(before.values())
+    assert running(manager) == {n.name for n in config.all_nodes()}
+    miner = config.miners[0]
+    target = AdminClient(miner.host, miner.admin_port).block_number() + 2
+
+    def star_whole() -> bool:
+        status = manager.network_status()
+        return all(status[c.name]["peers"] == 1 and status[c.name]["height"] >= target for c in config.clients)
+
+    wait_until(star_whole, timeout=15, message="every restarted client peered with the miner and caught up")

@@ -1,4 +1,4 @@
-"""One launch of several nodes, and liveness told by the node.pid lock."""
+"""One launch of several nodes, the warm launcher that forks them, and liveness told by the node.pid lock."""
 
 from __future__ import annotations
 
@@ -15,10 +15,11 @@ from pathlib import Path
 import pytest
 
 from chainyard.executor import LocalExecutor
+from chainyard.forkserver import launcher_files
 from chainyard.manager import ExecutorFailure, ManagerError, NetworkManager, NodeDefaults, make_bench_config
 from chainyard.node import NodePaths, meta_document
 from chainyard.protocol import AdminClient
-from conftest import BENCH_TEMPLATE, wait_until
+from conftest import BENCH_TEMPLATE, launcher_pid, parent_pid, process_running, wait_until
 
 
 @pytest.fixture
@@ -69,6 +70,7 @@ def test_one_launch_gives_each_node_its_own_pid_lock_and_log(created):
         assert targets[1] == targets[2] == str(NodePaths(directory).log)
         others = tuple(str(d) for name, d in dirs.items() if name != node.name)
         assert not [t for t in targets.values() if t.startswith(others) or t.startswith("pipe:")], targets
+        assert not [t for t in targets.values() if "launcher-" in t or "pidfd" in t], targets  # the launcher's own
         log = NodePaths(directory).log.read_text()
         assert f"{node.name} ({node.role}) up" in log
         assert not [n.name for n in nodes if n is not node and f"{n.name} ({n.role}) up" in log]
@@ -147,6 +149,10 @@ def test_a_node_that_dies_at_start_fails_its_phase_with_its_name_and_exit_status
     message = str(failure.value)
     assert "'prosumer1' exited with status 3" in message
     assert "prosumer2" not in message and "dso1" not in message
+    pids = manager._running_pids(config.all_nodes())
+    assert pids["prosumer1"] is None
+    launcher = launcher_pid(manager.config_dir(), "127.0.0.1")  # the clients came from the miner's warm launcher
+    assert {parent_pid(pids[name]) for name in ("miner1", "dso1", "prosumer2")} == {launcher}
 
 
 def test_a_second_node_on_a_running_directory_changes_nothing(live_network):
@@ -193,3 +199,87 @@ def test_network_delete_asks_each_host_once(created):
     assert hosts.count("127.0.0.1") == 2  # one lock probe and one rm -rf over the host's node directories
     assert hosts.count("localhost") == 0  # the configuration directory is removed in-process
     assert not manager.config_dir().exists()
+
+
+def test_every_start_on_a_host_forks_its_nodes_from_one_launcher(created):
+    manager, config = created(prosumers=2)
+    manager.start("miners")
+    launcher = launcher_pid(manager.config_dir(), "127.0.0.1")
+    manager.start("clients")
+    pids = manager._running_pids(config.all_nodes())
+    assert launcher is not None and launcher != os.getpid()
+    assert {name: parent_pid(pid) for name, pid in pids.items()} == {n.name: launcher for n in config.all_nodes()}
+    assert launcher_pid(manager.config_dir(), "127.0.0.1") == launcher
+
+
+def test_the_launcher_exits_with_its_last_node_and_the_network_deletes(created):
+    manager, config = created(prosumers=1)
+    manager.start("miners")
+    manager.start("clients")
+    launcher = launcher_pid(manager.config_dir(), "127.0.0.1")
+    manager.network_stop()
+    wait_until(lambda: not process_running(launcher), timeout=2, message="the launcher gone")
+    assert not [p.name for p in manager.config_dir().iterdir() if p.name in launcher_files("127.0.0.1")]
+    manager.network_delete()
+    assert not manager.config_dir().exists()
+
+
+def test_nodes_outlive_a_killed_launcher_and_the_next_start_brings_up_another(created):
+    manager, config = created(prosumers=1)
+    manager.start("miners")
+    miner = config.miners[0]
+    first = launcher_pid(manager.config_dir(), "127.0.0.1")
+    os.kill(first, signal.SIGKILL)
+    wait_until(lambda: not process_running(first), message="the killed launcher gone")
+    assert AdminClient(miner.host, miner.admin_port).is_up()
+    manager.start("clients")
+    second = launcher_pid(manager.config_dir(), "127.0.0.1")
+    assert second not in (None, first)
+    pids = manager._running_pids(config.all_nodes())
+    assert {parent_pid(pids[c.name]) for c in config.clients} == {second}
+    assert parent_pid(pids[miner.name]) != second
+    assert AdminClient(miner.host, miner.admin_port).is_up()
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_two_starts_at_once_on_one_host_reach_one_launcher(created, warm):
+    manager, config = created(prosumers=4)
+    if warm:
+        manager.start("miners")
+    halves = [[manager.node_dir(c.name) for c in config.clients[i::2]] for i in (0, 1)]
+    barrier = threading.Barrier(2, timeout=5)
+    results: dict[int, dict] = {}
+
+    def start(i: int) -> None:
+        barrier.wait()
+        results[i] = manager.launcher.start("127.0.0.1", halves[i])
+
+    threads = [threading.Thread(target=start, args=(i,)) for i in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1]
+    pids = [pid for i in (0, 1) for pid in results[i].values()]
+    assert len(set(pids)) == len(config.clients)
+    assert {parent_pid(pid) for pid in pids} == {launcher_pid(manager.config_dir(), "127.0.0.1")}
+
+
+def test_a_launch_that_no_launcher_answers_forks_its_nodes_itself(created):
+    manager, config = created(prosumers=1)
+    lock_name, socket_name = launcher_files("127.0.0.1")
+    with (manager.config_dir() / lock_name).open("w") as held:
+        fcntl.flock(held, fcntl.LOCK_EX)  # a holder that never listens: the client, then the lock's retry, give up
+        held.write(str(os.getpid()))
+        held.flush()
+        manager.start("miners")
+        manager.start("clients")
+        pids = manager._running_pids(config.all_nodes())
+        assert all(pids.values())
+        assert not (manager.config_dir() / socket_name).exists()
+    forced = NetworkManager(config, manager.workspace, force=True)
+    forced.start("clients")  # the lock is free again: this launch becomes the host's launcher
+    launcher = launcher_pid(manager.config_dir(), "127.0.0.1")
+    assert launcher not in (None, os.getpid())
+    assert {parent_pid(pid) for pid in forced._running_pids(config.clients).values()} == {launcher}

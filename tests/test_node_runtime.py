@@ -21,6 +21,7 @@ from chainyard.dsl import GenesisParams, NetworkConfig
 from chainyard.genesis import derive_account, make_genesis, write_genesis
 from chainyard.manager import make_bench_config
 from chainyard.node import (
+    ADMIN_LINE_MAX,
     HELLO_TIMEOUT,
     GenesisMismatch,
     NodeIdentity,
@@ -141,15 +142,12 @@ def test_admin_malformed_request(tmp_path, boot):
     assert reply["error"]["code"] == "MalformedRequest"
 
 
-def test_an_admin_request_line_longer_than_max_frame_is_malformed(tmp_path, boot):
+def test_an_admin_request_line_longer_than_its_bound_is_malformed(tmp_path, boot):
     config, _, dirs = deploy(tmp_path, suffix="long")
     boot(dirs["prosumer1"])
     node = config.clients[0]
-    chunk = b"x" * (1 << 20)
     with socket.create_connection((node.host, node.admin_port), timeout=5) as sock:
-        for _ in range(MAX_FRAME // len(chunk)):
-            sock.sendall(chunk)
-        sock.sendall(b"x")  # MAX_FRAME + 1 bytes and no newline; the socket stays open
+        sock.sendall(b"x" * (ADMIN_LINE_MAX + 1))  # no newline, and the socket stays open
         with sock.makefile("rb") as rfile:
             reply = json.loads(rfile.readline())
     assert reply["error"]["code"] == "MalformedRequest"

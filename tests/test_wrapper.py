@@ -27,7 +27,7 @@ from chainyard.wrapper import (
     RecoveryFailed,
     TxJournal,
 )
-from conftest import BENCH_TEMPLATE, process_running, wait_until
+from conftest import BENCH_TEMPLATE, launcher_pid, parent_pid, process_running, wait_until
 
 
 @pytest.fixture
@@ -264,7 +264,11 @@ def test_unresponsive_node_is_replaced_with_chain_preserved(wrapped):
     wait_until(lambda: wrapper.recovery_count == 1, timeout=30, message="automatic recovery")
     status = wait_until(lambda: wrapper.admin.is_up() and wrapper.admin.status(), timeout=10, message="node healthy")
     assert status["height"] >= height_before
-    assert int(wrapper.paths.pid.read_text()) != old_pid
+    new_pid = int(wrapper.paths.pid.read_text())
+    assert new_pid != old_pid
+    # relaunched by the host's warm launcher, which forked the miner too
+    miner_pid = manager.launcher.running_pid("127.0.0.1", manager.node_dir(config.miners[0].name))
+    assert parent_pid(new_pid) == parent_pid(miner_pid) == launcher_pid(manager.config_dir(), "127.0.0.1")
 
 
 def test_recovery_failed_after_max_restarts(wrapped):
