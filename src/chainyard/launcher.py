@@ -8,6 +8,8 @@ life and writes its pid there. The lock goes with the process, even when
 the process lingers as a zombie, so a pid counts as this node's exactly
 while a process holds the lock and the file names that pid: a stale
 ``node.pid`` whose pid another process has since taken is locked by nobody.
+``stop`` and ``kill`` take no pid: each is one host command that acts on
+whatever holds the lock when it runs, so no pid read earlier can be stale.
 
 Nodes start from a warm launcher: a process per host that has imported
 the node and forks nodes on request (``forkserver.launch``). It holds the same
@@ -31,6 +33,8 @@ from .protocol import AdminClient, AdminError, AdminTimeout, AdminUnreachable
 
 STOP_REQUEST_TIMEOUT = 1.0  # seconds the admin stop request may take
 STOP_GRACE = 3.0  # seconds a node gets to exit before kill -9, and after it
+ESCALATED = "=killed"  # what a stop's host command prints when it sends kill -9
+_KILL = f'kill -9 "$p"; flock -w {STOP_GRACE:g} -s 9'  # under _holder: kill the holder, wait for its lock
 
 
 class LaunchFailed(RuntimeError):
@@ -89,31 +93,23 @@ class NodeLauncher:
             raise ProbeFailed(f"lock probe exited {result.status}: {result.output.strip()}")
         return {d: int(p) if p.isdigit() else None for d, p in zip(data_dirs, lines)}
 
-    def running_pid(self, host: str, data_dir: Path) -> int | None:
-        """The pid in node.pid if it is this node's live process, else None: one host command."""
-        return self.running_pids(host, [data_dir])[data_dir]
+    def kill(self, host: str, data_dir: Path) -> None:
+        """kill -9 whatever holds data_dir's node.pid lock, then wait until it is gone: one host command."""
+        self.executor.run(host, _holder(NodePaths(data_dir).pid, then=f'[ -z "$p" ] || {{ {_KILL}; }}'))
 
-    def await_gone(self, host: str, data_dir: Path, pid: int) -> bool:
-        """Wait on the host, up to STOP_GRACE, until pid no longer holds the lock; False if it outlived the wait."""
-        wait = f'[ "$p" != {pid} ] || flock -w {STOP_GRACE:g} -s 9'
-        return self.executor.run(host, _holder(NodePaths(data_dir).pid, then=wait)).status == 0
+    def stop(self, host: str, admin: AdminClient, data_dir: Path) -> bool:
+        """Ask the node to stop, then wait for the lock's holder to go; True if it had to be killed.
 
-    def kill(self, host: str, data_dir: Path, pid: int | None) -> None:
-        """kill -9 the node if pid still holds its lock, then wait until it is gone: one host command."""
-        if pid is not None:
-            kill = f'[ "$p" != {pid} ] || {{ kill -9 {pid}; flock -w {STOP_GRACE:g} -s 9; }}'
-            self.executor.run(host, _holder(NodePaths(data_dir).pid, then=kill))
-
-    def stop(self, host: str, admin: AdminClient, data_dir: Path, pid: int | None) -> bool:
-        """Ask the node to stop, wait for pid to go, and kill -9 it if it does not; True if it escalated."""
+        The admin request lets the node shut down while the host command
+        starts. That one command waits up to STOP_GRACE for the holder to
+        go, and only a holder still there gets kill -9 and a second wait.
+        """
         try:
             admin.stop(timeout=STOP_REQUEST_TIMEOUT)
         except (AdminError, AdminTimeout, AdminUnreachable):
             pass
-        if pid is None or self.await_gone(host, data_dir, pid):
-            return False
-        self.kill(host, data_dir, pid)
-        return True
+        wait = f'[ -z "$p" ] || flock -w {STOP_GRACE:g} -s 9 || {{ echo {ESCALATED}; {_KILL}; }}'
+        return ESCALATED in self.executor.run(host, _holder(NodePaths(data_dir).pid, then=wait)).output.split()
 
     def reap(self) -> None:
         """Nothing to reap: nodes start detached, not as children of this process."""

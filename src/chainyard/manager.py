@@ -383,8 +383,8 @@ class NetworkManager:
 
         def launch_host(host: str, group: list[NodeSpec]) -> None:
             names = {self.node_dir(n.name): n.name for n in group}
-            for node in group:
-                self.launcher.kill(host, self.node_dir(node.name), pids[node.name])  # a pid gets here only with force
+            for node in [n for n in group if pids[n.name] is not None]:  # running nodes get here only with force
+                self.launcher.kill(host, self.node_dir(node.name))
             try:
                 self.launcher.start(host, list(names))
             except LaunchFailed as exc:
@@ -426,7 +426,7 @@ class NetworkManager:
         def stop_host(host: str, group: list[NodeSpec]) -> None:
             for node in group:
                 started = time.perf_counter()
-                escalated = self.launcher.stop(host, self.admin(node), self.node_dir(node.name), pids[node.name])
+                escalated = self.launcher.stop(host, self.admin(node), self.node_dir(node.name))
                 # The stop anomaly reported at larger network sizes makes per-node
                 # latencies worth keeping around for later investigation.
                 note = " (escalated to kill)" if escalated else ""
@@ -449,8 +449,8 @@ class NetworkManager:
             raise ManagerError(f"refusing to delete while nodes run: {', '.join(sorted(alive))} (stop first)")
 
         def delete_host(host: str, group: list[NodeSpec]) -> None:
-            for node in group:
-                self.launcher.kill(host, self.node_dir(node.name), pids[node.name])  # a pid gets here only with force
+            for node in [n for n in group if pids[n.name] is not None]:  # running nodes get here only with force
+                self.launcher.kill(host, self.node_dir(node.name))
             dirs = _quoted(self.node_dir(n.name) for n in group)
             self._run(host, f"rm -rf {dirs} && sync -f {shlex.quote(str(self.workspace))}")
 

@@ -351,8 +351,7 @@ class NodeRuntime:
         if on_ready is not None:
             on_ready()
         try:
-            while not self.stop_event.wait(0.2):
-                pass
+            self.stop_event.wait()  # the admin stop, or a SIGTERM/SIGINT handler on this thread, sets it
         finally:
             self.shutdown()
 

@@ -4,7 +4,9 @@ The wrapper polls its node's admin endpoint, turns chain progress into
 events (new block, transaction mined/stalled, node unresponsive), and
 dispatches them to subscribers through a single ordered queue.
 Subscriptions never expire implicitly: an idle subscription still
-receives the next matching event, however long it sat quiet.
+receives the next matching event, however long it sat quiet. A poll that
+reports a stalled transaction or an unresponsive node is followed by a
+recovery on the same monitor thread, and close() waits for it to end.
 
 Transactions are journaled (write-ahead) before submission so that a
 restarted wrapper or node never loses them: recovery restarts the node
@@ -227,8 +229,10 @@ class NodeWrapper:
         self._subs_lock = threading.Lock()
         self._events: Queue[NodeEvent | None] = Queue()
         self._submit_lock = threading.Lock()
-        self._recover_lock = threading.Lock()  # held while a recovery is claimed or running
+        self._recover_lock = threading.Lock()  # held while a recovery runs
         self._stopping = threading.Event()
+        self._monitor: threading.Thread | None = None
+        self._trigger: NodeEvent | None = None  # the last recovery trigger the running poll reported
         self._attached = False
         self._last_height: int | None = None
         self._consecutive_timeouts = 0
@@ -250,7 +254,8 @@ class NodeWrapper:
                 raise BindFailure(f"{self.name}: cannot bind wrapper port {self.identity.wrapper_port}: {exc}") from exc
             self._offchain_server.start()
         threading.Thread(target=self._dispatch_loop, daemon=True).start()
-        threading.Thread(target=self._monitor_loop, daemon=True).start()
+        self._monitor = threading.Thread(target=self._monitor_loop, daemon=True)
+        self._monitor.start()
         self._attached = True
         try:
             status = self.admin.status()
@@ -261,11 +266,14 @@ class NodeWrapper:
         return self
 
     def close(self) -> None:
+        """Stop supervising; return once the monitor thread, with any recovery attempt in flight, has ended."""
         self._stopping.set()
         self._events.put(None)
         if self._offchain_server is not None:
             self._offchain_server.stop()
             self._offchain_server = None
+        if self._monitor is not None:
+            self._monitor.join()
         self._attached = False
 
     def __enter__(self) -> "NodeWrapper":
@@ -288,12 +296,12 @@ class NodeWrapper:
             self._subs = [s for s in self._subs if s.sub_id != sub.sub_id]
 
     def _emit(self, event: NodeEvent) -> None:
+        if event.kind in (TX_STALLED, NODE_UNRESPONSIVE):
+            self._trigger = event
         self._events.put(event)
 
     def _dispatch_loop(self) -> None:
         while (event := self._events.get()) is not None:  # close() enqueues the None
-            if self.auto_recover and event.kind in (TX_STALLED, NODE_UNRESPONSIVE):
-                self._schedule_recovery(event)
             with self._subs_lock:
                 subs = list(self._subs)
             for sub in subs:
@@ -313,12 +321,20 @@ class NodeWrapper:
     # -- monitor -------------------------------------------------------------------
 
     def _monitor_loop(self) -> None:
+        """Poll every poll_period; after a poll that reported a stall or an unresponsive node, recover here."""
         while not self._stopping.is_set():
-            if self._recover_lock.locked():
+            if self._recover_lock.locked():  # a recover() called from another thread
                 self._stopping.wait(self.poll_period)
                 continue
             cycle_started = time.monotonic()
+            self._trigger = None
             self._poll_once()
+            if self._trigger is not None and self.auto_recover:
+                logger.warning("%s: %s triggered automatic recovery", self.name, self._trigger.kind)
+                try:
+                    self.recover()
+                except RecoveryFailed as exc:
+                    logger.error("%s: automatic recovery gave up: %s", self.name, exc)
             remaining = self.poll_period - (time.monotonic() - cycle_started)
             if remaining > 0:
                 self._stopping.wait(remaining)
@@ -443,58 +459,42 @@ class NodeWrapper:
 
     # -- recovery ------------------------------------------------------------------------
 
-    def _schedule_recovery(self, trigger: NodeEvent) -> None:
-        # Claim the recovery before its thread starts: two triggers from one
-        # poll must not both find the wrapper idle and restart the node twice.
-        if not self._recover_lock.acquire(blocking=False):
-            return
-        logger.warning("%s: %s triggered automatic recovery", self.name, trigger.kind)
-        threading.Thread(target=self._recover_guarded, daemon=True).start()
-
-    def _recover_guarded(self) -> None:
-        """Run a recovery claimed by _schedule_recovery, then release the claim."""
-        try:
-            self._recover_inner()
-        except RecoveryFailed as exc:
-            logger.error("%s: automatic recovery gave up: %s", self.name, exc)
-        finally:
-            self._recover_lock.release()
-
     def recover(self) -> RecoveryReport:
-        """Restart the node from its data directory and resubmit pending txs."""
-        with self._recover_lock:
-            return self._recover_inner()
+        """Restart the node from its data directory and resubmit pending txs.
 
-    def _recover_inner(self) -> RecoveryReport:
+        Each attempt is a stop and a launch: two host commands. The wrapper
+        backs off between attempts, and close() ends the retries.
+        """
         host, root = self.identity.host, self.paths.root
         attempts = 0
-        while attempts < self.max_restarts and not self._stopping.is_set():
-            attempts += 1
-            if attempts > 1:
-                time.sleep(self.backoff_base * (2 ** (attempts - 2)))
-            # Each attempt stops what the last one may have left running, so its start never finds the lock held.
-            self.launcher.stop(host, self.admin, root, self.launcher.running_pid(host, root))
-            try:
-                self.launcher.start(host, [root])
-                status = self.admin.status()
-                if status["genesisHash"] != self.expected_genesis_hash:
-                    self._emit(NodeEvent(RECOVERY_FAILED, time.time()))
-                    raise RecoveryFailed(
-                        f"{self.name}: restarted node reports genesis {status['genesisHash']}, "
-                        f"expected {self.expected_genesis_hash}"
-                    )
-                resubmitted = self._resubmit_pending()
-            except (LaunchFailed, AdminTimeout, AdminUnreachable) as exc:
-                logger.warning("%s: restart attempt %d failed: %s", self.name, attempts, exc)
-                continue
-            self._consecutive_timeouts = 0
-            self._last_height = status["height"]
-            report = RecoveryReport(restarted=True, resubmitted=resubmitted, attempts=attempts)
-            self.recovery_count += 1
-            logger.info("%s: recovered after %d attempt(s), resubmitted %d tx", self.name, attempts, resubmitted)
-            return report
-        self._emit(NodeEvent(RECOVERY_FAILED, time.time()))
-        raise RecoveryFailed(f"{self.name}: node refused to restart after {attempts} attempts")
+        with self._recover_lock:
+            while attempts < self.max_restarts:
+                if self._stopping.wait(self.backoff_base * 2 ** (attempts - 1) if attempts else 0):
+                    break
+                attempts += 1
+                # Each attempt stops what the last one may have left running, so its start never finds the lock held.
+                self.launcher.stop(host, self.admin, root)
+                try:
+                    self.launcher.start(host, [root])
+                    status = self.admin.status()
+                    if status["genesisHash"] != self.expected_genesis_hash:
+                        self._emit(NodeEvent(RECOVERY_FAILED, time.time()))
+                        raise RecoveryFailed(
+                            f"{self.name}: restarted node reports genesis {status['genesisHash']}, "
+                            f"expected {self.expected_genesis_hash}"
+                        )
+                    resubmitted = self._resubmit_pending()
+                except (LaunchFailed, AdminTimeout, AdminUnreachable) as exc:
+                    logger.warning("%s: restart attempt %d failed: %s", self.name, attempts, exc)
+                    continue
+                self._consecutive_timeouts = 0
+                self._last_height = status["height"]
+                self.recovery_count += 1
+                logger.info("%s: recovered after %d attempt(s), resubmitted %d tx", self.name, attempts, resubmitted)
+                return RecoveryReport(restarted=True, resubmitted=resubmitted, attempts=attempts)
+            self._emit(NodeEvent(RECOVERY_FAILED, time.time()))
+            why = "wrapper closed" if self._stopping.is_set() else "node refused to restart"
+            raise RecoveryFailed(f"{self.name}: {why} after {attempts} attempts")
 
     def _resubmit_pending(self) -> int:
         count = 0

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from chainyard.dsl import GenesisParams, NetworkConfig, NodeSpec, parse_config
+from chainyard.executor import LocalExecutor
 from chainyard.forkserver import launcher_files
 from chainyard.manager import NetworkManager, NodeDefaults, make_bench_config
 
@@ -188,7 +189,7 @@ def live_network(tmp_path, request):
     for manager in managers:
         cleanup = NetworkManager(manager.config, manager.workspace, force=True, node_defaults=manager.node_defaults)
         nodes = manager.config.all_nodes()
-        pids = {node.name: cleanup.launcher.running_pid(node.host, cleanup.node_dir(node.name)) for node in nodes}
+        pids = cleanup._running_pids(nodes)
         try:
             cleanup.network_stop()
         except Exception:
@@ -197,13 +198,25 @@ def live_network(tmp_path, request):
             cleanup.network_delete()
         except Exception:
             pass
+        after = cleanup._running_pids(nodes)
         for node in nodes:
             pid = pids[node.name]
-            if pid is not None and cleanup.launcher.running_pid(node.host, cleanup.node_dir(node.name)) == pid:
+            if pid is not None and after[node.name] == pid:
                 leaked.append(f"{node.name} (pid {pid})")
-                cleanup.launcher.kill(node.host, cleanup.node_dir(node.name), pid)
+                cleanup.launcher.kill(node.host, cleanup.node_dir(node.name))
     if leaked:
         pytest.fail(f"nodes still running after cleanup: {', '.join(leaked)}")
+
+
+class CountingExecutor(LocalExecutor):
+    """A local executor that records each (host, command) it runs."""
+
+    def __init__(self):
+        self.commands: list[tuple[str, str]] = []
+
+    def run(self, host, command):
+        self.commands.append((host, command))
+        return super().run(host, command)
 
 
 def process_running(pid: int) -> bool:

@@ -14,12 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from chainyard.executor import LocalExecutor
 from chainyard.forkserver import launcher_files
 from chainyard.manager import ExecutorFailure, ManagerError, NetworkManager, NodeDefaults, make_bench_config
 from chainyard.node import NodePaths, meta_document
 from chainyard.protocol import AdminClient
-from conftest import BENCH_TEMPLATE, launcher_pid, parent_pid, process_running, wait_until
+from conftest import BENCH_TEMPLATE, CountingExecutor, launcher_pid, parent_pid, process_running, wait_until
 
 
 @pytest.fixture
@@ -83,11 +82,10 @@ def test_kill_9_of_one_node_frees_its_lock_while_its_siblings_serve(created):
     pids = manager.launcher.start("127.0.0.1", dirs)
     victim = dirs[1]
     os.kill(pids[victim], signal.SIGKILL)
-    assert manager.launcher.await_gone("127.0.0.1", victim, pids[victim])
-    assert manager.launcher.running_pid("127.0.0.1", victim) is None
+    wait_until(lambda: manager.launcher.running_pids("127.0.0.1", [victim]) == {victim: None}, message="lock freed")
+    assert manager.launcher.running_pids("127.0.0.1", dirs) == {d: None if d == victim else pids[d] for d in dirs}
     for node, directory in zip(nodes, dirs):
         if directory != victim:
-            assert manager.launcher.running_pid("127.0.0.1", directory) == pids[directory]
             assert AdminClient(node.host, node.admin_port).is_up()
 
 
@@ -103,7 +101,7 @@ def test_probing_running_pid_during_a_start_never_fails_it(created):
     def probe() -> None:
         while not done.is_set():
             for directory in dirs:
-                probes.append(manager.launcher.running_pid("127.0.0.1", directory))
+                probes.append(manager.launcher.running_pids("127.0.0.1", [directory])[directory])
 
     probers = [threading.Thread(target=probe) for _ in range(3)]
     for prober in probers:
@@ -137,7 +135,7 @@ def test_a_start_waits_out_a_probe_that_holds_the_lock(created):
             pids = manager.launcher.start("127.0.0.1", [directory])
         finally:
             releaser.join()
-    assert manager.launcher.running_pid("127.0.0.1", directory) == pids[directory]
+    assert manager.launcher.running_pids("127.0.0.1", [directory]) == pids
 
 
 def test_a_node_that_dies_at_start_fails_its_phase_with_its_name_and_exit_status(created):
@@ -165,8 +163,8 @@ def test_a_second_node_on_a_running_directory_changes_nothing(live_network):
     directory = manager.node_dir(client.name)
     paths = NodePaths(directory)
     pid_text, blocks = paths.pid.read_text(), paths.blocks.read_bytes()
-    running = manager.launcher.running_pid(client.host, directory)
-    assert running == int(pid_text)
+    running = manager.launcher.running_pids(client.host, [directory])
+    assert running == {directory: int(pid_text)}
 
     second = subprocess.run(
         [sys.executable, "-m", "chainyard.node", "--data-dir", str(directory)],
@@ -177,17 +175,8 @@ def test_a_second_node_on_a_running_directory_changes_nothing(live_network):
     assert second.returncode != 0
     assert paths.pid.read_text() == pid_text
     assert paths.blocks.read_bytes() == blocks
-    assert manager.launcher.running_pid(client.host, directory) == running
+    assert manager.launcher.running_pids(client.host, [directory]) == running
     assert AdminClient(client.host, client.admin_port).is_up()
-
-
-class CountingExecutor(LocalExecutor):
-    def __init__(self):
-        self.commands: list[tuple[str, str]] = []
-
-    def run(self, host, command):
-        self.commands.append((host, command))
-        return super().run(host, command)
 
 
 def test_network_delete_asks_each_host_once(created):

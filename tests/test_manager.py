@@ -395,7 +395,7 @@ def test_network_stop_lets_every_node_exit_without_escalation(live_network, capl
     assert len(stops) == 3
     assert not any("escalated to kill" in line for line in stops)
     for node in config.all_nodes():
-        assert manager.launcher.running_pid(node.host, manager.node_dir(node.name)) is None
+        assert manager._running_pids([node]) == {node.name: None}
         assert not process_running(pids[node.name])  # nor any other process under that pid
         assert not pid_files[node.name].exists()  # removed by the node itself on a graceful exit
 
@@ -417,14 +417,12 @@ def test_running_pid_is_the_live_node_of_the_directory_or_none(live_network, for
     directory = manager.node_dir(miner.name)
     pid = int(NodePaths(directory).pid.read_text())
     launcher = NodeLauncher()
-    assert launcher.running_pid(miner.host, directory) == pid
-
     other = (tmp_path / "other").resolve()
     other.mkdir()
-    assert launcher.running_pid(miner.host, other) is None  # no node.pid
+    assert launcher.running_pids(miner.host, [directory, other]) == {directory: pid, other: None}  # other: no node.pid
     for content in ("garbage", f"{pid} {pid}", str(foreign_process.pid), str(pid)):
         NodePaths(other).pid.write_text(content)
-        assert launcher.running_pid(miner.host, other) is None, content  # the last is another directory's node
+        assert launcher.running_pids(miner.host, [other]) == {other: None}, content  # the last: another's node
 
 
 def test_blockchain_make_does_not_validate_a_second_time(tmp_path, monkeypatch):
@@ -462,7 +460,7 @@ def test_start_on_a_running_network_refuses_or_with_force_restarts_every_node(li
     nodes = config.all_nodes()
 
     def pids():
-        return {n.name: manager.launcher.running_pid(n.host, manager.node_dir(n.name)) for n in nodes}
+        return manager._running_pids(nodes)
 
     before = pids()
     assert None not in before.values()

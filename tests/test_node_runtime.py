@@ -5,6 +5,7 @@ import errno
 import json
 import logging
 import os
+import signal
 import socket
 import statistics
 import struct
@@ -19,6 +20,7 @@ import pytest
 from chainyard.chain import make_transaction
 from chainyard.dsl import GenesisParams, NetworkConfig
 from chainyard.genesis import derive_account, make_genesis, write_genesis
+from chainyard.launcher import NodeLauncher
 from chainyard.manager import make_bench_config
 from chainyard.node import (
     ADMIN_LINE_MAX,
@@ -463,6 +465,23 @@ def test_admin_stop_replies_then_the_process_exits(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=5)
+
+
+def test_sigterm_stops_a_started_node_gracefully(tmp_path):
+    config, _, dirs = deploy(tmp_path, suffix="t")
+    node_dir = dirs["prosumer1"]
+    host = next(node.host for node in config.clients if node.name == "prosumer1")
+    launcher = NodeLauncher()
+    pid = launcher.start(host, [node_dir])[node_dir]
+    try:
+        os.kill(pid, signal.SIGTERM)
+        released = lambda: launcher.running_pids(host, [node_dir]) == {node_dir: None}  # noqa: E731
+        wait_until(released, timeout=1, message="the node.pid lock released")
+    finally:
+        launcher.kill(host, node_dir)
+    log = NodePaths(node_dir).log.read_text()
+    assert "signal 15: stopping" in log
+    assert "stopped at height" in log
 
 
 def test_shutdown_does_not_wait_out_a_server_poll(tmp_path):

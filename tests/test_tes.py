@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -24,8 +25,8 @@ from chainyard.tes import (
     stable_report_view,
     write_report,
 )
-from chainyard.wrapper import NODE_UNRESPONSIVE, NodeEvent, NodeWrapper
-from conftest import BENCH_TEMPLATE
+from chainyard.wrapper import NodeWrapper
+from conftest import BENCH_TEMPLATE, wait_until
 
 
 def offers_of(*specs):
@@ -360,8 +361,12 @@ def test_run_day_records_an_unreachable_node_as_a_failed_interval(day_network):
 def test_run_day_waits_for_a_recovery_in_progress(day_network):
     manager, config, wrappers = day_network(prosumers=2)
     dso = wrappers["dso1"]
-    dso._schedule_recovery(NodeEvent(NODE_UNRESPONSIVE, time.time()))  # dso1's node restarts as the day begins
+    recovery = threading.Thread(target=dso.recover)  # dso1's node restarts as the day begins
+    recovery.start()
+    wait_until(dso._recover_lock.locked, message="the recovery under way")
     report = run_day(wrappers, config, seed=42, intervals=2)
+    recovery.join(timeout=30)
+    assert not recovery.is_alive()
     assert [o["status"] for o in report["outcomes"]] == ["ok", "ok"]
     assert dso.recovery_count == 1
 

@@ -14,7 +14,8 @@ from chainyard.chain import make_transaction
 from chainyard.dsl import GenesisParams, NetworkConfig
 from chainyard.genesis import make_genesis, write_genesis
 from chainyard.manager import NetworkManager, NodeDefaults, make_bench_config
-from chainyard.protocol import AdminClient, AdminError, AdminTimeout
+from chainyard.launcher import NodeLauncher
+from chainyard.protocol import AdminClient, AdminError, AdminTimeout, AdminUnreachable
 from chainyard.wrapper import (
     NEW_BLOCK,
     NODE_UNRESPONSIVE,
@@ -27,7 +28,7 @@ from chainyard.wrapper import (
     RecoveryFailed,
     TxJournal,
 )
-from conftest import BENCH_TEMPLATE, launcher_pid, parent_pid, process_running, wait_until
+from conftest import BENCH_TEMPLATE, CountingExecutor, launcher_pid, parent_pid, process_running, wait_until
 
 
 @pytest.fixture
@@ -267,7 +268,7 @@ def test_unresponsive_node_is_replaced_with_chain_preserved(wrapped):
     new_pid = int(wrapper.paths.pid.read_text())
     assert new_pid != old_pid
     # relaunched by the host's warm launcher, which forked the miner too
-    miner_pid = manager.launcher.running_pid("127.0.0.1", manager.node_dir(config.miners[0].name))
+    miner_pid = manager._running_pids(config.miners)[config.miners[0].name]
     assert parent_pid(new_pid) == parent_pid(miner_pid) == launcher_pid(manager.config_dir(), "127.0.0.1")
 
 
@@ -282,33 +283,6 @@ def test_recovery_failed_after_max_restarts(wrapped):
     with pytest.raises(RecoveryFailed):
         wrapper.recover()
     assert wrapper.recovery_count == 0
-
-
-def test_two_stall_triggers_in_one_poll_restart_the_node_once(wrapped, monkeypatch):
-    manager, config, wrappers = wrapped(auto_recover=False)
-    wrapper = wrappers["prosumer1"]
-    started = []
-
-    class LateThread(threading.Thread):
-        """A thread that gets the processor only a while after start(), as on a busy host."""
-
-        def start(self):
-            started.append(self)
-            super().start()
-
-        def run(self):
-            time.sleep(0.3)
-            super().run()
-
-    trigger = NodeEvent(TX_STALLED, time.time(), tx_id="0" * 64, blocks_waited=3)
-    with monkeypatch.context() as patch:
-        patch.setattr(threading, "Thread", LateThread)
-        wrapper._schedule_recovery(trigger)  # what the dispatcher does for each of
-        wrapper._schedule_recovery(trigger)  # two stalls reported by one poll
-    for thread in started:
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-    assert wrapper.recovery_count == 1
 
 
 class CountingAdmin:
@@ -371,6 +345,88 @@ def test_a_poll_queries_each_pending_tx_once_and_reports_each_trigger_once(tmp_p
     for _ in range(3):
         wrapper._poll_once()
     assert [e.kind for e in drain(wrapper._events)] == [NODE_UNRESPONSIVE]
+
+
+def test_two_stall_triggers_in_one_poll_restart_the_node_once(tmp_path):
+    config = make_bench_config(BENCH_TEMPLATE, 1, suffix="twostalls")
+    manager = NetworkManager(config, tmp_path / "ws", node_defaults=NodeDefaults(block_interval=0.1))
+    manager.network_create()  # created, never started: no socket is opened
+    wrapper = NodeWrapper(manager.node_dir("prosumer1"), poll_period=0.01)  # auto_recover
+    wrapper.admin = admin = CountingAdmin(height=5)
+    wrapper._poll_once()  # the first poll only learns the height
+    for nonce in range(2):
+        wrapper.journal.record_submitted(make_transaction(wrapper.account, "ab" * 32, 1, nonce), submit_height=5)
+    admin.height = 8  # the next poll finds both txs stalled
+    recoveries = []
+    wrapper.recover = lambda: recoveries.append(admin.calls["status"])
+    poll = wrapper._poll_once
+
+    def poll_three_times():
+        poll()
+        if admin.calls["status"] == 4:
+            wrapper._stopping.set()
+
+    wrapper._poll_once = poll_three_times
+    wrapper._monitor_loop()  # on this thread, until the third poll
+    assert [e.kind for e in drain(wrapper._events)].count(TX_STALLED) == 2
+    assert recoveries == [2]  # one recovery, right after the poll that reported both stalls
+
+
+class SlowLauncher(NodeLauncher):
+    """A launcher that runs no node: each start takes 0.5 s and is timed, each stop is a no-op."""
+
+    def __init__(self):
+        super().__init__()
+        self.launches: list[list[float | None]] = []  # [began, ended] in time.monotonic()
+
+    def start(self, host, data_dirs):
+        launch = [time.monotonic(), None]
+        self.launches.append(launch)
+        time.sleep(0.5)
+        launch[1] = time.monotonic()
+        return {}
+
+    def stop(self, *args):
+        return False
+
+
+class DownAdmin:
+    """An admin client with no socket whose every request finds the node down."""
+
+    def __getattr__(self, name):
+        def down(*args, **kwargs):
+            raise AdminUnreachable(f"{name}: node is down")
+
+        return down
+
+
+def test_close_during_a_recovery_lets_no_launch_begin_or_end_after_it(tmp_path):
+    config = make_bench_config(BENCH_TEMPLATE, 1, suffix="close")
+    manager = NetworkManager(config, tmp_path / "ws", node_defaults=NodeDefaults(block_interval=0.1))
+    manager.network_create()  # created, never started; a miner has no wrapper port, so no socket is opened
+    launcher = SlowLauncher()
+    wrapper = NodeWrapper(manager.node_dir(config.miners[0].name), poll_period=0.02, launcher=launcher)
+    wrapper.admin = DownAdmin()
+    wrapper.attach()  # three polls find the node down, and the monitor starts a recovery
+    wait_until(lambda: launcher.launches and launcher.launches[0][1], timeout=10, message="the first launch done")
+    wrapper.close()  # within the backoff before the second attempt
+    closed = time.monotonic()
+    time.sleep(1.0)  # past that backoff and another launch
+    assert launcher.launches
+    assert all(ended is not None and ended <= closed for _, ended in launcher.launches), (closed, launcher.launches)
+
+
+def test_a_recovery_attempt_makes_two_host_commands(wrapped):
+    executor = CountingExecutor()
+    manager, config, wrappers = wrapped(auto_recover=False, block_interval=0.1, launcher=NodeLauncher(executor))
+    wrapper = wrappers["prosumer1"]
+    wrapper.admin.set_fault("stall_mempool")  # the node runs and holds its lock, but mines nothing of its own
+    wrapper.submit(wrappers["dso1"].account, 2)
+    report = wrapper.recover()
+    assert (report.restarted, report.attempts) == (True, 1)
+    stop, launch = [command for _, command in executor.commands]  # no separate lock probe
+    assert "flock -w" in stop and "kill -9" in stop
+    assert "chainyard.node --detach" in launch
 
 
 def test_manual_recover_resubmits_pending(wrapped):
