@@ -85,10 +85,9 @@ class ValidationReport:
         return not self.errors
 
 
-def _expect_keys(obj: dict, required: dict, where: str, optional: dict | None = None) -> None:
-    optional = optional or {}
+def _expect_keys(obj: dict, required: tuple[str, ...], where: str) -> None:
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in required:
             raise ConfigSchemaError(f"{where}: unknown key {key!r}")
     for key in required:
         if key not in obj:
@@ -122,11 +121,7 @@ def _parse_client(entry: object, index: int) -> NodeSpec:
     where = f"clients[{index}]"
     if not isinstance(entry, dict):
         raise ConfigSchemaError(f"{where}: must be an object")
-    _expect_keys(
-        entry,
-        {"name": str, "role": str, "host": str, "blockchainPort": int, "adminPort": int, "wrapperPort": int},
-        where,
-    )
+    _expect_keys(entry, ("name", "role", "host", "blockchainPort", "adminPort", "wrapperPort"), where)
     role = _get_str(entry, "role", where)
     if role not in CLIENT_ROLES:
         raise ConfigSchemaError(f"{where}: role must be one of {CLIENT_ROLES}, got {role!r}")
@@ -144,7 +139,7 @@ def _parse_miner(entry: object, index: int) -> NodeSpec:
     where = f"miners[{index}]"
     if not isinstance(entry, dict):
         raise ConfigSchemaError(f"{where}: must be an object")
-    _expect_keys(entry, {"name": str, "host": str, "blockchainPort": int, "adminPort": int}, where)
+    _expect_keys(entry, ("name", "host", "blockchainPort", "adminPort"), where)
     return NodeSpec(
         name=_get_str(entry, "name", where),
         role="miner",
@@ -165,16 +160,16 @@ def parse_config(text: str) -> NetworkConfig:
         raise ConfigSchemaError("document root must be an object")
     _expect_keys(
         doc,
-        {
-            "configurationName": str,
-            "configurationVersion": str,
-            "chainID": int,
-            "difficulty": int,
-            "gasLimit": int,
-            "balance": int,
-            "clients": list,
-            "miners": list,
-        },
+        (
+            "configurationName",
+            "configurationVersion",
+            "chainID",
+            "difficulty",
+            "gasLimit",
+            "balance",
+            "clients",
+            "miners",
+        ),
         "document",
     )
     genesis = GenesisParams(

@@ -8,8 +8,10 @@ life and writes its pid there. The lock goes with the process, even when
 the process lingers as a zombie, so a pid counts as this node's exactly
 while a process holds the lock and the file names that pid: a stale
 ``node.pid`` whose pid another process has since taken is locked by nobody.
-``stop`` and ``kill`` take no pid: each is one host command that acts on
-whatever holds the lock when it runs, so no pid read earlier can be stale.
+``stop`` takes no pid: it is one host command that signals whatever holds
+the lock when it runs, so no pid read earlier can be stale. It is the one
+way a node is ended: SIGTERM, which the node answers with a graceful
+shutdown, and ``kill -9`` only for a holder still there after STOP_GRACE.
 
 Nodes start from a warm launcher: a process per host that has imported
 the node and forks nodes on request (``forkserver.launch``). It holds the same
@@ -29,12 +31,9 @@ from typing import Sequence
 from .executor import Executor, LocalExecutor
 from .forkserver import LAUNCH_CLIENT, NO_LAUNCHER, launcher_files, launcher_home
 from .node import NodePaths
-from .protocol import AdminClient, AdminError, AdminTimeout, AdminUnreachable
 
-STOP_REQUEST_TIMEOUT = 1.0  # seconds the admin stop request may take
-STOP_GRACE = 3.0  # seconds a node gets to exit before kill -9, and after it
+STOP_GRACE = 3.0  # seconds a node gets to exit after SIGTERM before kill -9, and after it
 ESCALATED = "=killed"  # what a stop's host command prints when it sends kill -9
-_KILL = f'kill -9 "$p"; flock -w {STOP_GRACE:g} -s 9'  # under _holder: kill the holder, wait for its lock
 
 
 class LaunchFailed(RuntimeError):
@@ -93,23 +92,16 @@ class NodeLauncher:
             raise ProbeFailed(f"lock probe exited {result.status}: {result.output.strip()}")
         return {d: int(p) if p.isdigit() else None for d, p in zip(data_dirs, lines)}
 
-    def kill(self, host: str, data_dir: Path) -> None:
-        """kill -9 whatever holds data_dir's node.pid lock, then wait until it is gone: one host command."""
-        self.executor.run(host, _holder(NodePaths(data_dir).pid, then=f'[ -z "$p" ] || {{ {_KILL}; }}'))
+    def stop(self, host: str, data_dir: Path) -> bool:
+        """SIGTERM whatever holds data_dir's node.pid lock and wait for it to go; True if it had to be killed.
 
-    def stop(self, host: str, admin: AdminClient, data_dir: Path) -> bool:
-        """Ask the node to stop, then wait for the lock's holder to go; True if it had to be killed.
-
-        The admin request lets the node shut down while the host command
-        starts. That one command waits up to STOP_GRACE for the holder to
-        go, and only a holder still there gets kill -9 and a second wait.
+        One host command: it waits up to STOP_GRACE for the lock, and only a
+        holder still there gets kill -9 and a second wait. A node that is
+        not running is left as it is.
         """
-        try:
-            admin.stop(timeout=STOP_REQUEST_TIMEOUT)
-        except (AdminError, AdminTimeout, AdminUnreachable):
-            pass
-        wait = f'[ -z "$p" ] || flock -w {STOP_GRACE:g} -s 9 || {{ echo {ESCALATED}; {_KILL}; }}'
-        return ESCALATED in self.executor.run(host, _holder(NodePaths(data_dir).pid, then=wait)).output.split()
+        wait = f"flock -w {STOP_GRACE:g} -s 9"
+        term = f'[ -z "$p" ] || {{ kill -TERM "$p"; {wait}; }} || {{ echo {ESCALATED}; kill -9 "$p"; {wait}; }}'
+        return ESCALATED in self.executor.run(host, _holder(NodePaths(data_dir).pid, then=term)).output.split()
 
     def reap(self) -> None:
         """Nothing to reap: nodes start detached, not as children of this process."""

@@ -367,7 +367,7 @@ class NetworkManager:
     def start(self, targets: str) -> PhaseTiming:
         """Start the target nodes: one launch per host, which returns once each of its nodes serves admin.
 
-        Every host is probed before any node is killed or launched, so a
+        Every host is probed before any node is stopped or launched, so a
         probe that fails on one host starts nothing on the others.
         """
         nodes, phase = self._select_targets(targets, Phase.CLIENTS_START, Phase.MINER_START)
@@ -384,7 +384,7 @@ class NetworkManager:
         def launch_host(host: str, group: list[NodeSpec]) -> None:
             names = {self.node_dir(n.name): n.name for n in group}
             for node in [n for n in group if pids[n.name] is not None]:  # running nodes get here only with force
-                self.launcher.kill(host, self.node_dir(node.name))
+                self.launcher.stop(host, self.node_dir(node.name))
             try:
                 self.launcher.start(host, list(names))
             except LaunchFailed as exc:
@@ -426,7 +426,7 @@ class NetworkManager:
         def stop_host(host: str, group: list[NodeSpec]) -> None:
             for node in group:
                 started = time.perf_counter()
-                escalated = self.launcher.stop(host, self.admin(node), self.node_dir(node.name))
+                escalated = self.launcher.stop(host, self.node_dir(node.name))
                 # The stop anomaly reported at larger network sizes makes per-node
                 # latencies worth keeping around for later investigation.
                 note = " (escalated to kill)" if escalated else ""
@@ -450,7 +450,7 @@ class NetworkManager:
 
         def delete_host(host: str, group: list[NodeSpec]) -> None:
             for node in [n for n in group if pids[n.name] is not None]:  # running nodes get here only with force
-                self.launcher.kill(host, self.node_dir(node.name))
+                self.launcher.stop(host, self.node_dir(node.name))
             dirs = _quoted(self.node_dir(n.name) for n in group)
             self._run(host, f"rm -rf {dirs} && sync -f {shlex.quote(str(self.workspace))}")
 

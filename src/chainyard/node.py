@@ -6,7 +6,7 @@ A node runs from a data directory prepared by the manager:
     genesis.json   canonical genesis document (hash-verified on load)
     meta.json      genesis hash stamped at first init (mismatch detection)
     blocks.log     append-only canonical-JSON block per line
-    mempool.json   pending transaction journal, written from the node's first run on
+    mempool.json   pending transaction journal, rewritten whenever the mempool changes
     peers.json     known peer endpoints, re-joined on restart
     node.pid       pid of the running process, which holds an exclusive flock on it
 
@@ -339,8 +339,7 @@ class NodeRuntime:
                 server.stop()
         self._admin_server = None
         self._peer_server = None
-        with self._lock:
-            self._persist_mempool()
+        with self._lock:  # the mempool journal needs no write here: every change to the mempool rewrote it
             if self._blocks_handle is not None:
                 self._blocks_handle.close()
                 self._blocks_handle = None
@@ -738,15 +737,11 @@ def main(argv: list[str] | None = None) -> int:
         help="have the host's launcher fork one background node per --data-dir; return once each serves admin, "
         "or name those that failed",
     )
-    parser.add_argument("--log-level", default="INFO")
     args = parser.parse_args(argv)
     if len(args.data_dir) > 1 and not args.detach:
         parser.error("several --data-dir need --detach")
 
-    logging.basicConfig(
-        level=getattr(logging, args.log_level.upper(), logging.INFO),
-        format="%(asctime)s %(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(levelname)s %(name)s: %(message)s")
     data_dirs = [Path(d) for d in args.data_dir]
     if args.detach:
         from .forkserver import launch  # here, not at the top: forkserver imports this module

@@ -192,8 +192,8 @@ class AdminClient:
     def set_mining(self, enabled: bool) -> bool:
         return self.request("set_mining", {"enabled": enabled})
 
-    def stop(self, timeout: float | None = None) -> str:
-        return self.request("stop", timeout=timeout)
+    def stop(self) -> str:
+        return self.request("stop")
 
     def is_up(self, timeout: float = 0.5) -> bool:
         try:

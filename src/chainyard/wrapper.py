@@ -473,7 +473,7 @@ class NodeWrapper:
                     break
                 attempts += 1
                 # Each attempt stops what the last one may have left running, so its start never finds the lock held.
-                self.launcher.stop(host, self.admin, root)
+                self.launcher.stop(host, root)
                 try:
                     self.launcher.start(host, [root])
                     status = self.admin.status()

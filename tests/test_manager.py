@@ -156,7 +156,7 @@ def test_blockchain_create_leaves_the_miner_without_a_mempool_journal(tmp_path):
     manager.blockchain_make()
     manager.blockchain_create()
     mempool = NodePaths(manager.node_dir(config.miners[0].name)).mempool
-    assert not mempool.exists()  # the node reads a missing journal as empty and writes it on its first run
+    assert not mempool.exists()  # the node reads a missing journal as empty and writes it once its mempool changes
     mempool.write_text('{"transactions": [{"txId": "stale"}]}')
     manager.blockchain_create()  # a forced re-init of the chain store drops the old journal with it
     assert not mempool.exists()

@@ -5,7 +5,6 @@ import errno
 import json
 import logging
 import os
-import signal
 import socket
 import statistics
 import struct
@@ -472,13 +471,16 @@ def test_sigterm_stops_a_started_node_gracefully(tmp_path):
     node_dir = dirs["prosumer1"]
     host = next(node.host for node in config.clients if node.name == "prosumer1")
     launcher = NodeLauncher()
-    pid = launcher.start(host, [node_dir])[node_dir]
+    launcher.start(host, [node_dir])
     try:
-        os.kill(pid, signal.SIGTERM)
-        released = lambda: launcher.running_pids(host, [node_dir]) == {node_dir: None}  # noqa: E731
-        wait_until(released, timeout=1, message="the node.pid lock released")
+        admin_for(config, "prosumer1").set_fault("unresponsive")  # from here on the admin port answers nothing
+        started = time.perf_counter()
+        escalated = launcher.stop(host, node_dir)
+        took = time.perf_counter() - started
     finally:
-        launcher.kill(host, node_dir)
+        launcher.stop(host, node_dir)  # nothing to do once the node is gone
+    assert not escalated and took < 1, took
+    assert launcher.running_pids(host, [node_dir]) == {node_dir: None}
     log = NodePaths(node_dir).log.read_text()
     assert "signal 15: stopping" in log
     assert "stopped at height" in log

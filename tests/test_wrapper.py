@@ -425,8 +425,19 @@ def test_a_recovery_attempt_makes_two_host_commands(wrapped):
     report = wrapper.recover()
     assert (report.restarted, report.attempts) == (True, 1)
     stop, launch = [command for _, command in executor.commands]  # no separate lock probe
-    assert "flock -w" in stop and "kill -9" in stop
+    assert "flock -w" in stop and 0 <= stop.find("kill -TERM") < stop.find("kill -9")
     assert "chainyard.node --detach" in launch
+
+
+def test_recovering_an_unresponsive_node_waits_out_no_admin_timeout(wrapped):
+    manager, config, wrappers = wrapped(auto_recover=False)
+    wrapper = wrappers["prosumer1"]
+    wrapper.admin.set_fault("unresponsive")  # the admin port answers nothing, not even a stop
+    started = time.perf_counter()
+    report = wrapper.recover()
+    took = time.perf_counter() - started
+    assert report.restarted and took < 1, took
+    assert wrapper.admin.status()["genesisHash"] == wrapper.expected_genesis_hash
 
 
 def test_manual_recover_resubmits_pending(wrapped):
