@@ -6,7 +6,7 @@ A node runs from a data directory prepared by the manager:
     genesis.json   canonical genesis document (hash-verified on load)
     meta.json      genesis hash stamped at first init (mismatch detection)
     blocks.log     append-only canonical-JSON block per line
-    mempool.json   pending transaction journal, rewritten whenever the mempool changes
+    mempool.json   pending transaction journal, rewritten whenever a tx is admitted or mined
     peers.json     known peer endpoints, re-joined on restart
     node.pid       pid of the running process, which holds an exclusive flock on it
 
@@ -339,7 +339,7 @@ class NodeRuntime:
                 server.stop()
         self._admin_server = None
         self._peer_server = None
-        with self._lock:  # the mempool journal needs no write here: every change to the mempool rewrote it
+        with self._lock:  # no mempool journal write: each admitted or mined tx rewrote it
             if self._blocks_handle is not None:
                 self._blocks_handle.close()
                 self._blocks_handle = None
