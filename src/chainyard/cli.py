@@ -213,6 +213,22 @@ def _parse_fault(spec: str | None, config: dsl.NetworkConfig, intervals: int) ->
     return number, node_name, mode
 
 
+def _cmd_status(args) -> int:
+    status = _manager(args, _load_config(args.config)).network_status()
+    for name, answer in status.items():
+        if answer is None:
+            print(f"{name:<16} not answering")
+            continue
+        code = answer.get("codeDigest") or "source tree"
+        print(
+            f"{name:<16} height {answer['height']:>6}  pending {answer['pending']:>5}  peers {answer['peers']:>3}  "
+            f"mining {str(answer['mining']).lower():<5}  fault {answer['fault']:<13}  code {code}"
+        )
+    if args.json_out:
+        _write_json(status, args.json_out)
+    return EXIT_OK if all(status.values()) else EXIT_EXECUTION
+
+
 def _cmd_run_tes(args) -> int:
     config = _load_config(args.config)
     fault = _parse_fault(args.fault, config, args.intervals)
@@ -280,6 +296,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int]]] = {
     "start-miners": ("launch miner node processes", _lifecycle(lambda m: [m.start("miners")])),
     "start-clients": ("launch client node processes", _lifecycle(lambda m: [m.start("clients")])),
     "connect": ("connect every client to every miner (star)", _lifecycle(lambda m: [m.network_connect()])),
+    "status": ("show each node's admin status; exit 2 if one does not answer", _cmd_status),
     "stop": ("stop all nodes (graceful, then kill)", _lifecycle(lambda m: [m.network_stop()])),
     "delete": ("remove all per-node directories", _lifecycle(lambda m: [m.network_delete()])),
     "bench": ("measure lifecycle phases across network sizes", _cmd_bench),

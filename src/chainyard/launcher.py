@@ -18,22 +18,69 @@ the node and forks nodes on request (``forkserver.launch``). It holds the same
 kind of lock on its own pid file, and exits once no node it forked is
 alive. A launch asks it through a client that skips ``site`` and imports
 only ``_socket``, and becomes the launcher when none runs.
+
+A launcher runs from the network's code image: ``chainyard-<D>.zip`` in
+its working directory, which holds the node's modules as sources and as
+hash-based ``.pyc`` files (PEP 552). D digests those sources and the
+interpreter's magic number, so two processes of one checkout name the
+same image, while their marshalled bytes may differ. With the image as
+its only ``PYTHONPATH`` and ``-S``, a launcher loads neither ``site`` nor
+another copy of chainyard, and compiles nothing: every byte that saves
+is saved again in every node it forks. An interpreter whose magic number
+differs imports the sources beside the ``.pyc`` files.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import importlib.util
+import io
 import json
+import marshal
 import shlex
 import sys
+import zipfile
 from pathlib import Path
 from typing import Sequence
 
 from .executor import Executor, LocalExecutor
 from .forkserver import LAUNCH_CLIENT, NO_LAUNCHER, launcher_files, launcher_home
-from .node import NodePaths
+from .node import IMAGE_NAME, NodePaths
 
 STOP_GRACE = 3.0  # seconds a node gets to exit after SIGTERM before kill -9, and after it
 ESCALATED = "=killed"  # what a stop's host command prints when it sends kill -9
+IMAGE_MODULES = ("__init__", "canonical", "chain", "genesis", "protocol", "node", "forkserver")  # all a node imports
+UNCHECKED_HASH_PYC = (1).to_bytes(4, "little")  # PEP 552 flags: hash-based, never checked against its source
+
+
+@functools.cache
+def _image_sources() -> tuple[tuple[str, bytes], ...]:
+    """Each image module's path inside the image and its source, read once per process."""
+    package = Path(__file__).parent
+    return tuple((f"chainyard/{name}.py", (package / f"{name}.py").read_bytes()) for name in IMAGE_MODULES)
+
+
+@functools.cache
+def code_image_name() -> str:
+    """The file name of this code version's image: chainyard-<D>.zip."""
+    digest = hashlib.sha256(importlib.util.MAGIC_NUMBER)
+    for path, source in _image_sources():
+        digest.update(b"%s\0%d\0%s" % (path.encode(), len(source), source))
+    return IMAGE_NAME.format(digest.hexdigest()[:16])
+
+
+@functools.cache
+def code_image() -> bytes:
+    """This code version's image, compiled once per process: a deflated zip of each module's source and .pyc."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as image:
+        for path, source in _image_sources():
+            code = compile(source, path, "exec", dont_inherit=True, optimize=0)
+            pyc = importlib.util.MAGIC_NUMBER + UNCHECKED_HASH_PYC + importlib.util.source_hash(source)
+            for name, data in ((path, source), (path + "c", pyc + marshal.dumps(code))):
+                image.writestr(zipfile.ZipInfo(name), data, zipfile.ZIP_DEFLATED)  # dated 1980: no clock in the bytes
+    return buffer.getvalue()
 
 
 class LaunchFailed(RuntimeError):
@@ -57,8 +104,10 @@ class NodeLauncher:
 
         One host command, run in the nodes' common parent directory. If a
         live launcher holds the host's launcher lock, the ``python -S``
-        client asks it; else, or if it answers nothing, ``python -m
-        chainyard.node --detach`` runs, which becomes the launcher.
+        client asks it; else, or if it answers nothing, ``python -S -m
+        chainyard.node --detach`` runs from this code version's image in
+        that directory, and becomes the launcher. A missing image fails
+        the launch, naming it: no launch runs chainyard from elsewhere.
 
         Returns once every node serves admin. Raises LaunchFailed, naming each
         node that exited or did not serve admin in time; the others keep running.
@@ -66,11 +115,14 @@ class NodeLauncher:
         lock_name, socket_name = launcher_files(host)
         python = shlex.quote(sys.executable)
         dirs = [shlex.quote(str(d)) for d in data_dirs]
+        home = launcher_home(data_dirs)
+        image = shlex.quote(str(home / code_image_name()))
         client = f"{python} -S -c {shlex.quote(LAUNCH_CLIENT)} {shlex.quote(socket_name)} {' '.join(dirs)}"
         command = (
-            f"cd {shlex.quote(str(launcher_home(data_dirs)))} || exit; {_holder(lock_name)}; "
+            f"cd {shlex.quote(str(home))} || exit; {_holder(lock_name)}; "
             f'if [ -n "$p" ]; then {client}; s=$?; [ $s = {NO_LAUNCHER} ] || exit $s; fi; '
-            f"exec {python} -m chainyard.node --detach {' '.join(f'--data-dir {d}' for d in dirs)}"
+            f"[ -f {image} ] || {{ echo no code image {image}; exit 1; }}; PYTHONPATH={image}; export PYTHONPATH; "
+            f"exec {python} -S -m chainyard.node --detach {' '.join(f'--data-dir {d}' for d in dirs)}"
         )
         result = self.executor.run(host, command)
         try:

@@ -41,8 +41,8 @@ from .chain import DEFAULT_MAX_BLOCK_TXS
 from .dsl import NetworkConfig, NodeSpec, validate
 from .executor import Executor, LocalExecutor
 from .genesis import GENESIS_FILE, GenesisDocument, derive_account, write_genesis
-from .launcher import LaunchFailed, NodeLauncher, ProbeFailed
-from .node import DEFAULT_BLOCK_INTERVAL, NodeIdentity, NodePaths, meta_document
+from .launcher import LaunchFailed, NodeLauncher, ProbeFailed, code_image, code_image_name
+from .node import DEFAULT_BLOCK_INTERVAL, IMAGE_NAME, NodeIdentity, NodePaths, meta_document
 from .protocol import AdminClient, AdminError, AdminTimeout, AdminUnreachable
 
 logger = logging.getLogger(__name__)
@@ -152,6 +152,10 @@ class NetworkManager:
     def genesis_path(self) -> Path:
         return self.config_dir() / GENESIS_FILE
 
+    def image_path(self) -> Path:
+        """This code version's image, in the configuration directory of every host: the code each node runs."""
+        return self.config_dir() / code_image_name()
+
     @property
     def node_count(self) -> int:
         return len(self.config.all_nodes())
@@ -213,14 +217,35 @@ class NetworkManager:
         self._each_host(nodes, lambda host, group: pids.update(self._host_pids(host, group)))
         return pids
 
-    def _put_json(self, host: str, payload: dict, remote_path: Path) -> None:
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as tmp:
-            tmp.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-            tmp_path = tmp.name
+    def _put_bytes(self, host: str, data: bytes, remote_path: Path) -> None:
+        with tempfile.NamedTemporaryFile(delete=False) as tmp:
+            tmp.write(data)
         try:
-            self.executor.put_file(host, tmp_path, remote_path)
+            self.executor.put_file(host, tmp.name, remote_path)
         finally:
-            Path(tmp_path).unlink(missing_ok=True)
+            Path(tmp.name).unlink(missing_ok=True)
+
+    def _put_json(self, host: str, payload: dict, remote_path: Path) -> None:
+        self._put_bytes(host, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(), remote_path)
+
+    def _put_image(self, host: str) -> None:
+        """Copy the code image to host, where it takes its name only once its sha256 matches: a copy and one command.
+
+        The copy goes to a name of the host's own, so hosts that share one
+        filesystem never write the same file.
+        """
+        data, image = code_image(), self.image_path()
+        source_digest = hashlib.sha256(data).hexdigest()
+        part = image.with_name(f"{image.name}.{host}.part")
+        self._put_bytes(host, data, part)
+        part_word = shlex.quote(str(part))
+        check = f'd=$(sha256sum {part_word}) && echo "$d" && [ "${{d%% *}}" = {source_digest} ]'
+        result = self.executor.run(host, f"{check} && mv {part_word} {shlex.quote(str(image))}")
+        copied_digest = result.output.split()[0] if result.output.split() else ""
+        if copied_digest != source_digest:
+            raise ExecutorFailure(host, f"copied code image digest {copied_digest} != source {source_digest}")
+        if result.status != 0:
+            raise ExecutorFailure(host, f"code image check exited {result.status}: {result.output.strip()}")
 
     def _each_host(self, nodes: Iterable[NodeSpec], fn: Callable[[str, list[NodeSpec]], None]) -> None:
         """fn(host, its nodes in config order) for all hosts at once: the first on this thread, others on their own."""
@@ -304,9 +329,10 @@ class NetworkManager:
         return self._timed(Phase.BLOCKCHAIN_CREATE, lambda: self._each_host(self.config.miners, init_host))
 
     def distribute(self, targets: str) -> PhaseTiming:
-        """Copy the genesis file to every target node, digest-verified after copy.
+        """Copy the genesis file to every target node, and the code image to each host without it, digest-verified.
 
-        One directory probe per host, then one copy and one sha256sum per node.
+        One probe per host over its node directories and its image, then one
+        copy and one sha256sum per node, and per image that the host lacks.
         """
         nodes, phase = self._select_targets(targets, Phase.DISTRIBUTE_TO_CLIENTS, Phase.DISTRIBUTE_TO_MINERS)
         if not self.genesis_path().exists():
@@ -314,12 +340,17 @@ class NetworkManager:
         source_digest = hashlib.sha256(self.genesis_path().read_bytes()).hexdigest()
 
         missing: set[str] = set()
+        imaged: set[str] = set()  # the hosts that hold the image already
 
         def check_host(host: str, group: list[NodeSpec]) -> None:
-            present = self._exists(host, [self.node_dir(n.name) for n in group])
+            *present, has_image = self._exists(host, [*(self.node_dir(n.name) for n in group), self.image_path()])
             missing.update(n.name for n, found in zip(group, present) if not found)
+            if has_image:
+                imaged.add(host)
 
         def copy_host(host: str, group: list[NodeSpec]) -> None:
+            if host not in imaged:
+                self._put_image(host)
             for node in group:
                 destination = NodePaths(self.node_dir(node.name)).genesis
                 self.executor.put_file(host, self.genesis_path(), destination)
@@ -375,10 +406,14 @@ class NetworkManager:
 
         def probe_host(host: str, group: list[NodeSpec]) -> None:
             names = {self.node_dir(n.name): n.name for n in group}
-            present = self._exists(host, [NodePaths(d).genesis for d in names])
+            *present, has_image = self._exists(host, [*(NodePaths(d).genesis for d in names), self.image_path()])
             missing = [d for d, found in zip(names, present) if not found]
             if missing:
                 raise NotCreated(f"node {names[missing[0]]!r}: not created/distributed (no genesis in {missing[0]})")
+            if not has_image:
+                raise NotCreated(
+                    f"host {host!r}: no code image {self.image_path()} (run distribute-miners and distribute-clients)"
+                )
             pids.update(self._host_pids(host, group))
 
         def launch_host(host: str, group: list[NodeSpec]) -> None:
@@ -435,7 +470,7 @@ class NetworkManager:
         return self._timed(Phase.NETWORK_STOP, lambda: self._each_host(running, stop_host))
 
     def network_delete(self) -> PhaseTiming:
-        """Remove every node directory and the configuration directory: one probe and one rm per host.
+        """Remove every node directory, code image and the configuration directory: one probe and one rm per host.
 
         The rm syncs the host's filesystem before it returns. Else the removals
         of several quick create..delete cycles pile up in one ext4 journal
@@ -452,7 +487,8 @@ class NetworkManager:
             for node in [n for n in group if pids[n.name] is not None]:  # running nodes get here only with force
                 self.launcher.stop(host, self.node_dir(node.name))
             dirs = _quoted(self.node_dir(n.name) for n in group)
-            self._run(host, f"rm -rf {dirs} && sync -f {shlex.quote(str(self.workspace))}")
+            images = shlex.quote(str(self.config_dir())) + "/" + IMAGE_NAME.format("*") + "*"  # of any code version
+            self._run(host, f"rm -rf {dirs} {images} && sync -f {shlex.quote(str(self.workspace))}")
 
         def body() -> None:
             self._each_host(self.config.all_nodes(), delete_host)

@@ -14,7 +14,9 @@ Runnable standalone: ``python -m chainyard.node --data-dir DIR``. With
 ``--detach`` and one ``--data-dir`` per node, the host's launcher forks a
 background node per directory, and the command returns once each serves
 admin. The first such command on a host becomes that launcher, which
-exits by itself once no node it forked is alive.
+exits by itself once no node it forked is alive. The manager runs it
+from the network's code image, ``chainyard-<D>.zip``, so every node runs
+the code its network was created with.
 
 Fault modes replicate failure behaviors seen in real deployments:
 ``stall_mempool`` keeps mining blocks but never includes (or forwards)
@@ -24,7 +26,6 @@ until the client gives up.
 
 from __future__ import annotations
 
-import argparse
 import fcntl
 import itertools
 import json
@@ -57,6 +58,18 @@ ADMIN_LINE_MAX = 64 * 1024  # bytes in an admin request line; the largest the pr
 
 DEFAULT_BLOCK_INTERVAL = 0.25
 LOCK_WAIT = 0.5  # seconds a starting node or launch retries a held lock: a probe holds it far less
+IMAGE_NAME = "chainyard-{}.zip"  # a code image, with its digest D in place of {}
+THREAD_DIED = 6  # the exit status of a node that a thread's uncaught exception ended
+
+
+def _image_digest() -> str | None:
+    """D of the code image this module was imported from, or None when it runs from a source tree."""
+    prefix, suffix = IMAGE_NAME.split("{}")
+    image = Path(__file__).parent.parent.name  # chainyard-<D>.zip/chainyard/node.py inside an image
+    return image[len(prefix):-len(suffix)] if image.startswith(prefix) and image.endswith(suffix) else None
+
+
+CODE_DIGEST = _image_digest()
 
 
 class PortInUse(OSError):
@@ -552,6 +565,7 @@ class NodeRuntime:
                     "mining": self.mining_enabled,
                     "genesisHash": self.genesis_doc.genesis_hash,
                     "account": self.identity.account,
+                    "codeDigest": CODE_DIGEST,
                 }
         if op == "block_number":
             with self._lock:
@@ -688,7 +702,9 @@ def run_node(data_dir: Path, on_ready: Callable[[], None] | None = None) -> int:
     """Run the node of data_dir until it is stopped; return the process exit status.
 
     The node.pid lock comes first: a second node on a running directory
-    exits before it reads or writes any other file of it.
+    exits before it reads or writes any other file of it. A node thread
+    that dies from an uncaught exception stops the node, which then
+    returns THREAD_DIED: it never serves on without that thread.
     """
     paths = NodePaths(data_dir)
     try:
@@ -713,20 +729,44 @@ def run_node(data_dir: Path, on_ready: Callable[[], None] | None = None) -> int:
             logger.info("signal %d: stopping", signum)
             runtime.request_stop()
 
+        died: list[str] = []
+
+        def _on_thread_death(args: threading.ExceptHookArgs) -> None:
+            if args.exc_type is SystemExit:
+                return
+            name = getattr(args.thread, "name", "?")
+            logger.error("thread %s died: stopping", name, exc_info=(args.exc_type, args.exc_value, args.exc_traceback))
+            died.append(name)
+            runtime.request_stop()
+
         signal.signal(signal.SIGTERM, _on_signal)
         signal.signal(signal.SIGINT, _on_signal)
+        previous_hook, threading.excepthook = threading.excepthook, _on_thread_death
         try:
             runtime.run_until_stopped(on_ready)
         except PortInUse as exc:
             logger.error("%s", exc)
             return 4
-        return 0
+        finally:
+            threading.excepthook = previous_hook
+        return THREAD_DIED if died else 0
     finally:
         paths.pid.unlink(missing_ok=True)  # still under the lock, so never a later node's file
         os.close(lock)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str]) -> tuple[list[Path], bool]:
+    """The data directories and --detach of a command line.
+
+    The launcher's own form, ``--detach --data-dir DIR ...``, is read
+    without argparse, which would otherwise sit in the launcher's heap,
+    and so in every node it forks.
+    """
+    flags, dirs = argv[1::2], argv[2::2]
+    if argv[:1] == ["--detach"] and dirs and len(flags) == len(dirs) and set(flags) == {"--data-dir"}:
+        return [Path(d) for d in dirs], True
+    import argparse
+
     parser = argparse.ArgumentParser(prog="chainyard-node", description="Run a simulated blockchain node")
     parser.add_argument(
         "--data-dir", required=True, action="append", help="node data directory prepared by the manager"
@@ -740,10 +780,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if len(args.data_dir) > 1 and not args.detach:
         parser.error("several --data-dir need --detach")
+    return [Path(d) for d in args.data_dir], args.detach
 
+
+def main(argv: list[str] | None = None) -> int:
+    data_dirs, detach = _parse_args(sys.argv[1:] if argv is None else argv)
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(levelname)s %(name)s: %(message)s")
-    data_dirs = [Path(d) for d in args.data_dir]
-    if args.detach:
+    if detach:
         from .forkserver import launch  # here, not at the top: forkserver imports this module
 
         os._exit(launch(data_dirs))  # its report is flushed and its nodes run on: skip the interpreter's teardown

@@ -269,8 +269,10 @@ if [ "$host" = "$unreachable" ]; then
     echo "ssh: connect to host $host port 22: Connection refused" >&2
     exit 255
 fi
+[ -e {bare} ] && exec env -i PATH={path} /bin/sh -c "$*"
 exec /bin/sh -c "$*"
 """
+BARE_PATH = "/usr/local/bin:/usr/bin:/bin"  # a host's own PATH: no chainyard on it, and no PYTHONPATH
 
 
 class SshHosts:
@@ -279,8 +281,10 @@ class SshHosts:
     def __init__(self, directory: Path):
         self.log = directory / "hosts.log"
         self.down = directory / "unreachable"
+        self.bare_mark = directory / "bare"
         shim = directory / "ssh"
-        shim.write_text(SSH_SHIM.format(log=shlex.quote(str(self.log)), unreachable=shlex.quote(str(self.down))))
+        words = {"log": self.log, "unreachable": self.down, "bare": self.bare_mark, "path": BARE_PATH}
+        shim.write_text(SSH_SHIM.format(**{key: shlex.quote(str(value)) for key, value in words.items()}))
         shim.chmod(0o755)
 
     def hosts(self) -> list[str]:
@@ -290,6 +294,10 @@ class SshHosts:
     def unreachable(self, host: str) -> None:
         """From now on, ssh to host exits 255, as ssh does when it cannot connect."""
         self.down.write_text(host + "\n")
+
+    def bare(self) -> None:
+        """From now on, every host runs each command as a host without chainyard would: under ``env -i PATH=...``."""
+        self.bare_mark.touch()
 
 
 @pytest.fixture

@@ -7,7 +7,9 @@ import pytest
 
 from chainyard.cli import main
 from chainyard.dsl import serialize_config
+from chainyard.launcher import code_image_name
 from chainyard.manager import make_bench_config
+from chainyard.node import IMAGE_NAME
 from chainyard.tes import read_report, stable_report_view
 from conftest import BENCH_TEMPLATE, sample_doc
 
@@ -107,15 +109,25 @@ def test_create_twice_without_force_fails(tmp_path, capsys):
     assert "execution failure" in capsys.readouterr().err
 
 
-def test_full_cli_lifecycle(tmp_path):
+def test_full_cli_lifecycle(tmp_path, capsys):
     path, config = write_config(tmp_path, prosumers=1, suffix="cli5")
     ws = str(tmp_path / "ws")
     base = ["--config", str(path), "--workspace", ws, "--block-interval", "0.1"]
+    status_path = tmp_path / "status.json"
     try:
         assert main(["create", *base]) == 0
         assert main(["start-miners", *base]) == 0
+        capsys.readouterr()
+        assert main(["status", *base]) == 2  # the clients do not answer yet
+        out = capsys.readouterr().out
+        assert "dso1             not answering" in out and "miner1           height" in out
         assert main(["start-clients", *base]) == 0
         assert main(["connect", *base]) == 0
+        assert main(["status", *base, "--json", str(status_path)]) == 0
+        status = json.loads(status_path.read_text(encoding="utf-8"))
+        assert sorted(status) == sorted(n.name for n in config.all_nodes())
+        assert {IMAGE_NAME.format(answer["codeDigest"]) for answer in status.values()} == {code_image_name()}
+        assert f"code {status['miner1']['codeDigest']}" in capsys.readouterr().out
     finally:
         assert main(["stop", *base]) == 0
     assert main(["delete", *base]) == 0

@@ -7,15 +7,17 @@ SshExecutor's own command strings and quoting run on this machine.
 from __future__ import annotations
 
 import dataclasses
+import json
 import threading
 
 import pytest
 
-from chainyard.dsl import NetworkConfig, NodeSpec
+from chainyard.cli import main
+from chainyard.dsl import NetworkConfig, NodeSpec, serialize_config
 from chainyard.executor import LocalExecutor, SshExecutor
 from chainyard.launcher import NodeLauncher
 from chainyard.manager import ExecutorFailure, ManagerError, NetworkManager, NodeDefaults, allocate_ports, make_bench_config
-from chainyard.node import load_blocks
+from chainyard.node import IMAGE_NAME, load_blocks
 from chainyard.protocol import AdminClient
 from chainyard.tes import audit_report, run_day
 from chainyard.wrapper import NodeWrapper
@@ -249,3 +251,25 @@ def test_force_restarts_running_clients_on_every_host_through_ssh(ssh_hosts, net
         return all(status[c.name]["peers"] == 1 and status[c.name]["height"] >= target for c in config.clients)
 
     wait_until(star_whole, timeout=15, message="every restarted client peered with the miner and caught up")
+
+
+def test_the_cli_runs_a_day_on_three_hosts_that_have_no_chainyard_installed(ssh_hosts, networks, tmp_path):
+    ssh_hosts.bare()  # each host command runs with no PYTHONPATH: only the shipped code image can run a node
+    manager = networks(SshExecutor())
+    config_path = tmp_path / "hosts.json"
+    config_path.write_text(serialize_config(manager.config), encoding="utf-8")
+    base = ["--config", str(config_path), "--workspace", str(manager.workspace), "--executor", "ssh",
+            "--block-interval", "0.1"]
+    assert main(["create", *base]) == 0
+    day = ["--seed", "11", "--intervals", "2", "--keep-network", "--report", str(tmp_path / "day.json")]
+    assert main(["run-tes", *base, *day]) == 0
+    status_path = tmp_path / "status.json"
+    assert main(["status", *base, "--json", str(status_path)]) == 0
+    status = json.loads(status_path.read_text(encoding="utf-8"))
+    assert sorted(status) == sorted(n.name for n in manager.config.all_nodes())
+    assert {IMAGE_NAME.format(answer["codeDigest"]) for answer in status.values()} == {manager.image_path().name}
+    assert main(["stop", *base]) == 0
+    assert running(manager) == set()
+    assert main(["delete", *base]) == 0
+    assert not manager.config_dir().exists()
+    assert set(ssh_hosts.hosts()) == {"127.0.0.1", *CLIENT_HOSTS}

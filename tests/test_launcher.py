@@ -3,20 +3,32 @@
 from __future__ import annotations
 
 import fcntl
+import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import threading
 import time
+import zipfile
 from pathlib import Path
 
 import pytest
 
+from chainyard.executor import LocalExecutor
 from chainyard.forkserver import launcher_files
-from chainyard.manager import ExecutorFailure, ManagerError, NetworkManager, NodeDefaults, make_bench_config
-from chainyard.node import NodePaths, meta_document
+from chainyard.launcher import LaunchFailed, code_image, code_image_name
+from chainyard.manager import (
+    ExecutorFailure,
+    ManagerError,
+    NetworkManager,
+    NodeDefaults,
+    NotCreated,
+    make_bench_config,
+)
+from chainyard.node import IMAGE_NAME, NodePaths, meta_document
 from chainyard.protocol import AdminClient
 from conftest import BENCH_TEMPLATE, CountingExecutor, launcher_pid, parent_pid, process_running, wait_until
 
@@ -272,3 +284,96 @@ def test_a_launch_that_no_launcher_answers_forks_its_nodes_itself(created):
     launcher = launcher_pid(manager.config_dir(), "127.0.0.1")
     assert launcher not in (None, os.getpid())
     assert {parent_pid(pid) for pid in forced._running_pids(config.clients).values()} == {launcher}
+
+
+# -- the code image: what every launch on a host runs ------------------------------------------
+
+
+def test_two_processes_give_one_code_version_one_image_name():
+    probe = "from chainyard.launcher import code_image_name; print(code_image_name())"
+    names = [subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout.strip()
+             for _ in range(2)]
+    assert names == [code_image_name()] * 2
+
+
+def test_a_launch_from_the_image_loads_neither_site_nor_argparse(tmp_path):
+    image = tmp_path / code_image_name()
+    image.write_bytes(code_image())
+    probe = (
+        "import sys, chainyard.node as node, chainyard.forkserver; node._parse_args(['--detach', '--data-dir', 'd']); "
+        "print(sorted({'argparse', 'site'} & set(sys.modules)), node.CODE_DIGEST, node.__file__)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(image))
+    run = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    loaded, digest, origin = run.stdout.split()
+    assert loaded == "[]"
+    assert IMAGE_NAME.format(digest) == image.name
+    assert origin == f"{image}/chainyard/node.pyc"
+
+
+def test_every_node_runs_the_image_of_its_network_without_site(created):
+    executor = CountingExecutor()
+    manager, config = created(prosumers=1, executor=executor)
+    assert sorted(p.name for p in manager.config_dir().glob("chainyard-*")) == [code_image_name()]
+    executor.commands.clear()
+    manager.start("miners")
+    manager.start("clients")
+    launch = next(command for _, command in executor.commands if "chainyard.node --detach" in command)
+    assert f"PYTHONPATH={manager.image_path()}; export PYTHONPATH; " in launch
+    assert " -S -m chainyard.node --detach " in launch
+    for node, pid in manager._running_pids(config.all_nodes()).items():
+        assert b"\0-S\0-m\0chainyard.node\0--detach\0" in Path(f"/proc/{pid}/cmdline").read_bytes(), node
+    assert {IMAGE_NAME.format(s["codeDigest"]) for s in manager.network_status().values()} == {code_image_name()}
+
+
+def test_an_image_whose_bytecode_has_a_foreign_magic_starts_nodes_from_its_sources(created):
+    manager, config = created(prosumers=1)
+    image = manager.image_path()
+    with zipfile.ZipFile(io.BytesIO(image.read_bytes())) as original, zipfile.ZipFile(image, "w") as foreign:
+        for entry in original.infolist():
+            data = original.read(entry)
+            if entry.filename.endswith(".pyc"):
+                data = b"\x00\x00\r\n" + data[4:]  # no interpreter's magic number
+            foreign.writestr(entry, data, zipfile.ZIP_DEFLATED)
+    manager.start("miners")
+    manager.start("clients")
+    assert {IMAGE_NAME.format(s["codeDigest"]) for s in manager.network_status().values()} == {image.name}
+
+
+def test_a_home_without_its_image_starts_no_node_and_names_the_image(created):
+    manager, config = created(prosumers=1)
+    image = manager.image_path()
+    image.unlink()  # chainyard stays importable from the source tree here: no launch may fall back to it
+    with pytest.raises(NotCreated, match=re.escape(str(image))):
+        manager.start("miners")
+    miner_dir = manager.node_dir(config.miners[0].name)
+    with pytest.raises(LaunchFailed, match=re.escape(f"no code image {image}")):
+        manager.launcher.start("127.0.0.1", [miner_dir])  # as a wrapper relaunches a node
+    assert not any(manager._running_pids(config.all_nodes()).values())
+    manager.distribute("miners")  # ships the image again
+    manager.start("miners")
+
+
+class ImagesAfterRemoval(LocalExecutor):
+    """Records which code images each host's rm -rf left in the configuration directory."""
+
+    def __init__(self):
+        self.config_dir: Path | None = None
+        self.left: list[list[str]] = []
+
+    def run(self, host, command):
+        result = super().run(host, command)
+        if command.startswith("rm -rf"):
+            self.left.append(sorted(p.name for p in self.config_dir.glob("chainyard-*")))
+        return result
+
+
+def test_network_delete_leaves_no_code_image_on_any_host(created):
+    executor = ImagesAfterRemoval()
+    manager, _ = created(prosumers=1, executor=executor)
+    executor.config_dir = manager.config_dir()
+    (manager.config_dir() / IMAGE_NAME.format("0" * 16)).write_bytes(b"an image of another code version")
+    manager.image_path().with_name(f"{manager.image_path().name}.127.0.0.1.part").write_bytes(b"a copy cut short")
+    manager.network_delete()
+    assert executor.left == [[]]
+    assert not manager.config_dir().exists()

@@ -5,6 +5,7 @@ import errno
 import json
 import logging
 import os
+import signal
 import socket
 import statistics
 import struct
@@ -19,17 +20,19 @@ import pytest
 from chainyard.chain import make_transaction
 from chainyard.dsl import GenesisParams, NetworkConfig
 from chainyard.genesis import derive_account, make_genesis, write_genesis
-from chainyard.launcher import NodeLauncher
+from chainyard.launcher import NodeLauncher, code_image, code_image_name
 from chainyard.manager import make_bench_config
 from chainyard.node import (
     ADMIN_LINE_MAX,
     HELLO_TIMEOUT,
+    THREAD_DIED,
     GenesisMismatch,
     NodeIdentity,
     NodePaths,
     NodeRuntime,
     PortInUse,
     load_blocks,
+    run_node,
 )
 from chainyard.protocol import (
     MAX_FRAME,
@@ -470,6 +473,7 @@ def test_sigterm_stops_a_started_node_gracefully(tmp_path):
     config, _, dirs = deploy(tmp_path, suffix="t")
     node_dir = dirs["prosumer1"]
     host = next(node.host for node in config.clients if node.name == "prosumer1")
+    (node_dir.parent / code_image_name()).write_bytes(code_image())  # as distribute ships it: a launch runs it
     launcher = NodeLauncher()
     launcher.start(host, [node_dir])
     try:
@@ -484,6 +488,35 @@ def test_sigterm_stops_a_started_node_gracefully(tmp_path):
     log = NodePaths(node_dir).log.read_text()
     assert "signal 15: stopping" in log
     assert "stopped at height" in log
+
+
+def test_a_miner_whose_mining_thread_dies_exits_with_its_own_status_and_frees_its_lock(tmp_path):
+    _, _, dirs = deploy(tmp_path, suffix="died")
+    miner_dir = dirs["miner1"]
+    pid = os.fork()
+    if pid == 0:  # the child owns its main thread, as a node that its launcher forked does
+        status = 1
+        try:
+            persist, failures = NodeRuntime._persist_block, [OSError(errno.ENOSPC, "No space left on device")]
+
+            def persist_once(runtime, block):
+                if failures:
+                    raise failures.pop()
+                persist(runtime, block)
+
+            NodeRuntime._persist_block = persist_once
+            status = run_node(miner_dir)
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 10
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid, "the miner served on after its mining thread died"
+    assert os.waitstatus_to_exitcode(done[1]) == THREAD_DIED
+    assert NodeLauncher().running_pids("127.0.0.1", [miner_dir]) == {miner_dir: None}
 
 
 def test_shutdown_does_not_wait_out_a_server_poll(tmp_path):
