@@ -5,14 +5,19 @@ rejected so test networks stay reproducible). Parsing yields a
 ``NetworkConfig`` that mirrors the document; ``validate`` then reports
 relational violations (port conflicts, duplicate names, ...) as data
 rather than exceptions.
+
+Each object of the document is declared once, as a table of (key,
+attribute, check) rows that both parsing and serializing read.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Any, Callable, Iterable
 
 IDENTIFIER_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 CLIENT_ROLES = ("prosumer", "dso")
@@ -85,69 +90,85 @@ class ValidationReport:
         return not self.errors
 
 
-def _expect_keys(obj: dict, required: tuple[str, ...], where: str) -> None:
-    for key in obj:
-        if key not in required:
-            raise ConfigSchemaError(f"{where}: unknown key {key!r}")
-    for key in required:
-        if key not in obj:
-            raise ConfigSchemaError(f"{where}: missing required key {key!r}")
+Check = Callable[[Any, str, str], Any]  # (value, where, key) -> the value parsed, or ConfigSchemaError
+Fields = tuple[tuple[str, str, Check], ...]  # (document key, attribute, check) of each key of an object, in order
 
 
-def _get_str(obj: dict, key: str, where: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ConfigSchemaError(f"{where}: {key} must be a string")
+def _kind(test: Callable[[Any], bool], kind: str) -> Check:
+    """The check that passes each value for which test holds, and says of any other that it must be kind."""
+
+    def check(value: Any, where: str, key: str) -> Any:
+        if not test(value):
+            raise ConfigSchemaError(f"{where}: {key} must be {kind}")
+        return value
+
+    return check
+
+
+# type(v) is int, not isinstance: a boolean is an int to isinstance, and here always a mistake
+_string = _kind(lambda v: isinstance(v, str), "a string")
+_port = _kind(lambda v: type(v) is int, "an integer port")
+_positive = _kind(lambda v: type(v) is int and v >= 1, "a positive integer")
+_non_negative = _kind(lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_array = _kind(lambda v: isinstance(v, list), "an array")
+
+
+def _role(value: Any, where: str, key: str) -> str:
+    if _string(value, where, key) not in CLIENT_ROLES:
+        raise ConfigSchemaError(f"{where}: {key} must be one of {CLIENT_ROLES}, got {value!r}")
     return value
 
 
-def _get_int(obj: dict, key: str, where: str, minimum: int) -> int:
-    value = obj[key]
-    # bool is an int subclass; a boolean here is always a mistake
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        kind = "non-negative integer" if minimum == 0 else "positive integer"
-        raise ConfigSchemaError(f"{where}: {key} must be a {kind}")
-    return value
+@dataclass(frozen=True)
+class _Objects:
+    """The check of an array of objects that one table describes: it makes one node of each; write renders them."""
+
+    table: Fields
+    make: Callable[..., NodeSpec]
+
+    def __call__(self, value: Any, where: str, key: str) -> tuple[NodeSpec, ...]:
+        return tuple(self.make(**_read(e, self.table, f"{key}[{i}]")) for i, e in enumerate(_array(value, where, key)))
+
+    def write(self, nodes: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
+        return [_write(node, self.table) for node in nodes]
 
 
-def _get_port(obj: dict, key: str, where: str) -> int:
-    value = obj[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigSchemaError(f"{where}: {key} must be an integer port")
-    return value
+_MINER: Fields = (
+    ("name", "name", _string),
+    ("host", "host", _string),
+    ("blockchainPort", "blockchain_port", _port),
+    ("adminPort", "admin_port", _port),
+)
+_CLIENT: Fields = (_MINER[0], ("role", "role", _role), *_MINER[1:], ("wrapperPort", "wrapper_port", _port))
+_DOCUMENT: Fields = (
+    ("configurationName", "configuration_name", _string),
+    ("configurationVersion", "configuration_version", _string),
+    ("chainID", "chain_id", _positive),
+    ("difficulty", "difficulty", _positive),
+    ("gasLimit", "gas_limit", _positive),
+    ("balance", "balance", _non_negative),
+    ("clients", "clients", _Objects(_CLIENT, NodeSpec)),
+    ("miners", "miners", _Objects(_MINER, functools.partial(NodeSpec, role="miner"))),
+)
 
 
-def _parse_client(entry: object, index: int) -> NodeSpec:
-    where = f"clients[{index}]"
-    if not isinstance(entry, dict):
+def _read(obj: Any, table: Fields, where: str) -> dict[str, Any]:
+    """Each attribute's value in the document object obj, checked: an unknown key, then a missing one, fails first."""
+    if not isinstance(obj, dict):
         raise ConfigSchemaError(f"{where}: must be an object")
-    _expect_keys(entry, ("name", "role", "host", "blockchainPort", "adminPort", "wrapperPort"), where)
-    role = _get_str(entry, "role", where)
-    if role not in CLIENT_ROLES:
-        raise ConfigSchemaError(f"{where}: role must be one of {CLIENT_ROLES}, got {role!r}")
-    return NodeSpec(
-        name=_get_str(entry, "name", where),
-        role=role,
-        host=_get_str(entry, "host", where),
-        blockchain_port=_get_port(entry, "blockchainPort", where),
-        admin_port=_get_port(entry, "adminPort", where),
-        wrapper_port=_get_port(entry, "wrapperPort", where),
-    )
+    keys = [key for key, _, _ in table]
+    unknown, missing = [k for k in obj if k not in keys], [k for k in keys if k not in obj]
+    if unknown or missing:
+        what = f"unknown key {unknown[0]!r}" if unknown else f"missing required key {missing[0]!r}"
+        raise ConfigSchemaError(f"{where}: {what}")
+    return {attr: check(obj[key], where, key) for key, attr, check in table}
 
 
-def _parse_miner(entry: object, index: int) -> NodeSpec:
-    where = f"miners[{index}]"
-    if not isinstance(entry, dict):
-        raise ConfigSchemaError(f"{where}: must be an object")
-    _expect_keys(entry, ("name", "host", "blockchainPort", "adminPort"), where)
-    return NodeSpec(
-        name=_get_str(entry, "name", where),
-        role="miner",
-        host=_get_str(entry, "host", where),
-        blockchain_port=_get_port(entry, "blockchainPort", where),
-        admin_port=_get_port(entry, "adminPort", where),
-        wrapper_port=None,
-    )
+def _write(values: dict[str, Any], table: Fields) -> dict[str, Any]:
+    """The document object of values (attribute -> value), its keys in table order."""
+    return {
+        key: check.write(values[attr]) if isinstance(check, _Objects) else values[attr] for key, attr, check in table
+    }
 
 
 def parse_config(text: str) -> NetworkConfig:
@@ -158,72 +179,15 @@ def parse_config(text: str) -> NetworkConfig:
         raise ConfigParseError(f"malformed document: {exc.msg} at line {exc.lineno} column {exc.colno}") from exc
     if not isinstance(doc, dict):
         raise ConfigSchemaError("document root must be an object")
-    _expect_keys(
-        doc,
-        (
-            "configurationName",
-            "configurationVersion",
-            "chainID",
-            "difficulty",
-            "gasLimit",
-            "balance",
-            "clients",
-            "miners",
-        ),
-        "document",
-    )
-    genesis = GenesisParams(
-        chain_id=_get_int(doc, "chainID", "document", minimum=1),
-        difficulty=_get_int(doc, "difficulty", "document", minimum=1),
-        gas_limit=_get_int(doc, "gasLimit", "document", minimum=1),
-        balance=_get_int(doc, "balance", "document", minimum=0),
-    )
-    if not isinstance(doc["clients"], list):
-        raise ConfigSchemaError("document: clients must be an array")
-    if not isinstance(doc["miners"], list):
-        raise ConfigSchemaError("document: miners must be an array")
-    clients = tuple(_parse_client(entry, i) for i, entry in enumerate(doc["clients"]))
-    miners = tuple(_parse_miner(entry, i) for i, entry in enumerate(doc["miners"]))
-    return NetworkConfig(
-        configuration_name=_get_str(doc, "configurationName", "document"),
-        configuration_version=_get_str(doc, "configurationVersion", "document"),
-        genesis=genesis,
-        clients=clients,
-        miners=miners,
-    )
+    values = _read(doc, _DOCUMENT, "document")
+    genesis = GenesisParams(**{f.name: values.pop(f.name) for f in fields(GenesisParams)})
+    return NetworkConfig(genesis=genesis, **values)
 
 
 def serialize_config(config: NetworkConfig) -> str:
     """Render a NetworkConfig back into the document format (round-trip safe)."""
-    doc = {
-        "configurationName": config.configuration_name,
-        "configurationVersion": config.configuration_version,
-        "chainID": config.genesis.chain_id,
-        "difficulty": config.genesis.difficulty,
-        "gasLimit": config.genesis.gas_limit,
-        "balance": config.genesis.balance,
-        "clients": [
-            {
-                "name": c.name,
-                "role": c.role,
-                "host": c.host,
-                "blockchainPort": c.blockchain_port,
-                "adminPort": c.admin_port,
-                "wrapperPort": c.wrapper_port,
-            }
-            for c in config.clients
-        ],
-        "miners": [
-            {
-                "name": m.name,
-                "host": m.host,
-                "blockchainPort": m.blockchain_port,
-                "adminPort": m.admin_port,
-            }
-            for m in config.miners
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    values = {**asdict(config), **asdict(config.genesis)}
+    return json.dumps(_write(values, _DOCUMENT), indent=2) + "\n"
 
 
 def load_config(path: str | Path) -> NetworkConfig:

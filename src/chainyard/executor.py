@@ -1,20 +1,18 @@
 """Command execution backends for the network manager.
 
 The manager performs exactly two kinds of effects on hosts: running a
-shell command and copying a file. The local executor targets localhost
-regardless of the host field (test mode); the ssh executor shells out
-to ssh the way a deployment host would.
+shell command and writing bytes it holds to a file. The local executor
+targets localhost regardless of the host field (test mode); the ssh
+executor shells out to ssh the way a deployment host would.
 """
 
 from __future__ import annotations
 
 import logging
 import shlex
-import shutil
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
 
 logger = logging.getLogger(__name__)
 
@@ -29,8 +27,8 @@ class Executor:
     def run(self, host: str, command: str) -> ExecResult:
         raise NotImplementedError
 
-    def put_file(self, host: str, local_path: str | Path, remote_path: str | Path) -> None:
-        """Copy local_path to remote_path on host, making remote_path's missing parent directories first."""
+    def put(self, host: str, data: bytes, path: str | Path) -> None:
+        """Write data to path on host, making path's missing parent directories first."""
         raise NotImplementedError
 
 
@@ -47,13 +45,13 @@ class LocalExecutor(Executor):
         logger.debug("local[%s]$ %s -> %d", host, command, proc.returncode)
         return ExecResult(proc.returncode, proc.stdout)
 
-    def put_file(self, host: str, local_path: str | Path, remote_path: str | Path) -> None:
-        Path(remote_path).parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(local_path, remote_path)
+    def put(self, host: str, data: bytes, path: str | Path) -> None:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_bytes(data)
 
 
 class SshExecutor(Executor):
-    """Runs commands over ssh, and copies a file as one ssh command that reads it from stdin.
+    """Runs commands over ssh, and writes a file as one ssh command that reads its bytes from stdin.
 
     Assumes key-based auth is already set up for the configured hosts,
     matching how multi-host deployments are driven in practice.
@@ -63,22 +61,21 @@ class SshExecutor(Executor):
         self.user = user
         self.ssh_options = ssh_options
 
-    def _target(self, host: str) -> str:
-        return f"{self.user}@{host}" if self.user else host
+    def _argv(self, host: str, command: str) -> list[str]:
+        return ["ssh", *self.ssh_options, f"{self.user}@{host}" if self.user else host, command]
 
-    def run(self, host: str, command: str, stdin: BinaryIO | None = None) -> ExecResult:
-        argv = ["ssh", *self.ssh_options, self._target(host), command]
-        proc = subprocess.run(argv, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    def run(self, host: str, command: str) -> ExecResult:
+        proc = subprocess.run(self._argv(host, command), stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         logger.debug("ssh[%s]$ %s -> %d", host, command, proc.returncode)
         return ExecResult(proc.returncode, proc.stdout)
 
-    def put_file(self, host: str, local_path: str | Path, remote_path: str | Path) -> None:
+    def put(self, host: str, data: bytes, path: str | Path) -> None:
         # Both paths are quoted for the remote shell, which runs the whole command.
-        directory, remote = shlex.quote(str(Path(remote_path).parent)), shlex.quote(str(remote_path))
-        with open(local_path, "rb") as source:
-            copy = self.run(host, f"mkdir -p {directory} && cat > {remote}", stdin=source)
-        if copy.status != 0:
-            raise OSError(f"copy to {host} failed: {copy.output}")
+        directory, remote = shlex.quote(str(Path(path).parent)), shlex.quote(str(path))
+        argv = self._argv(host, f"mkdir -p {directory} && cat > {remote}")
+        copy = subprocess.run(argv, input=data, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        if copy.returncode != 0:
+            raise OSError(f"copy to {host} failed: {copy.stdout.decode(errors='replace')}")
 
 
 def make_executor(kind: str) -> Executor:

@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .node import LOCK_WAIT, NodeIdentity, NodePaths, run_node, try_lock
+from .node import CODE_DIGEST, LOCK_WAIT, NodeIdentity, NodePaths, run_node, try_lock
 
 logger = logging.getLogger(__name__)
 
@@ -61,13 +61,15 @@ def launcher_home(data_dirs: Sequence[Path]) -> Path:
     return Path(os.path.commonpath([Path(d).parent for d in data_dirs]))
 
 
-def launcher_files(host: str) -> tuple[str, str]:
+def launcher_files(host: str, digest: str | None) -> tuple[str, str]:
     """The names of host's launcher lock (and pid) file and of its unix socket, relative to launcher_home.
 
-    A unix socket address holds at most 108 bytes, so the launcher binds
-    and is reached by the relative name from inside its directory.
+    digest is D of the code image the launcher runs (None from a source
+    tree), so each code version gets a launcher of its own. A unix socket
+    address holds at most 108 bytes, so the launcher binds and is reached
+    by the relative name from inside its directory.
     """
-    return f"launcher-{host}.pid", f"launcher-{host}.sock"
+    return f"launcher-{host}-{digest}.pid", f"launcher-{host}-{digest}.sock"
 
 
 def launch(data_dirs: list[Path]) -> int:
@@ -101,7 +103,7 @@ def launch(data_dirs: list[Path]) -> int:
         pass  # so each node fails on its own, as it would in a launcher
     else:
         os.chdir(launcher_home(data_dirs))
-        reply = _reach_launcher(*launcher_files(host), b"\0".join(os.fsencode(d) for d in data_dirs))
+        reply = _reach_launcher(*launcher_files(host, CODE_DIGEST), b"\0".join(os.fsencode(d) for d in data_dirs))
     if not reply:
         reply = _report(*_fork_nodes(data_dirs))
     sys.stdout.write(reply[1:].decode())

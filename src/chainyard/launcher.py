@@ -62,12 +62,17 @@ def _image_sources() -> tuple[tuple[str, bytes], ...]:
 
 
 @functools.cache
-def code_image_name() -> str:
-    """The file name of this code version's image: chainyard-<D>.zip."""
+def code_digest() -> str:
+    """D of this code version: a digest of the image's sources and of the interpreter's magic number."""
     digest = hashlib.sha256(importlib.util.MAGIC_NUMBER)
     for path, source in _image_sources():
         digest.update(b"%s\0%d\0%s" % (path.encode(), len(source), source))
-    return IMAGE_NAME.format(digest.hexdigest()[:16])
+    return digest.hexdigest()[:16]
+
+
+def code_image_name() -> str:
+    """The file name of this code version's image: chainyard-<D>.zip."""
+    return IMAGE_NAME.format(code_digest())
 
 
 @functools.cache
@@ -103,7 +108,7 @@ class NodeLauncher:
         """Start the nodes of data_dirs in the background, through the host's launcher; return each one's pid.
 
         One host command, run in the nodes' common parent directory. If a
-        live launcher holds the host's launcher lock, the ``python -S``
+        live launcher of this code version holds its lock, the ``python -S``
         client asks it; else, or if it answers nothing, ``python -S -m
         chainyard.node --detach`` runs from this code version's image in
         that directory, and becomes the launcher. A missing image fails
@@ -111,8 +116,10 @@ class NodeLauncher:
 
         Returns once every node serves admin. Raises LaunchFailed, naming each
         node that exited or did not serve admin in time; the others keep running.
+        A launch whose last line is no report fails naming the host, the
+        data directories, the exit status and the output.
         """
-        lock_name, socket_name = launcher_files(host)
+        lock_name, socket_name = launcher_files(host, code_digest())
         python = shlex.quote(sys.executable)
         dirs = [shlex.quote(str(d)) for d in data_dirs]
         home = launcher_home(data_dirs)
@@ -129,7 +136,8 @@ class NodeLauncher:
             report = json.loads(result.output.strip().splitlines()[-1])  # the launch's last line
             started, failed = report["started"], report["failed"]
         except (IndexError, ValueError, KeyError, TypeError):
-            raise LaunchFailed(f"command {command!r} exited {result.status}: {result.output.strip()}") from None
+            where = f"host {host!r}: launch of {', '.join(map(str, data_dirs))}"
+            raise LaunchFailed(f"{where} exited {result.status}: {result.output.strip()}") from None
         if failed:
             failures = {Path(d): why for d, why in failed.items()}
             raise LaunchFailed("; ".join(f"{d}: {why}" for d, why in failures.items()), failures)

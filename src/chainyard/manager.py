@@ -3,7 +3,7 @@
 Every command is a pure function of (network document, workspace
 contents, command): there is no daemon and no database, so the manager
 can be killed between any two phases and re-run. Effects on hosts go
-exclusively through an Executor (run a command, copy a file); node
+exclusively through an Executor (run a command, write a file); node
 control beyond that uses the nodes' admin protocol.
 
 Each host question is asked one way: paths exist by one ``_exists`` probe,
@@ -29,7 +29,6 @@ import shlex
 import shutil
 import socket
 import statistics
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -217,27 +216,19 @@ class NetworkManager:
         self._each_host(nodes, lambda host, group: pids.update(self._host_pids(host, group)))
         return pids
 
-    def _put_bytes(self, host: str, data: bytes, remote_path: Path) -> None:
-        with tempfile.NamedTemporaryFile(delete=False) as tmp:
-            tmp.write(data)
-        try:
-            self.executor.put_file(host, tmp.name, remote_path)
-        finally:
-            Path(tmp.name).unlink(missing_ok=True)
-
-    def _put_json(self, host: str, payload: dict, remote_path: Path) -> None:
-        self._put_bytes(host, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(), remote_path)
+    def _put_json(self, host: str, payload: dict, path: Path) -> None:
+        self.executor.put(host, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(), path)
 
     def _put_image(self, host: str) -> None:
-        """Copy the code image to host, where it takes its name only once its sha256 matches: a copy and one command.
+        """Put the code image on host, where it takes its name only once its sha256 matches: a put and one command.
 
-        The copy goes to a name of the host's own, so hosts that share one
+        The put goes to a name of the host's own, so hosts that share one
         filesystem never write the same file.
         """
         data, image = code_image(), self.image_path()
         source_digest = hashlib.sha256(data).hexdigest()
         part = image.with_name(f"{image.name}.{host}.part")
-        self._put_bytes(host, data, part)
+        self.executor.put(host, data, part)
         part_word = shlex.quote(str(part))
         check = f'd=$(sha256sum {part_word}) && echo "$d" && [ "${{d%% *}}" = {source_digest} ]'
         result = self.executor.run(host, f"{check} && mv {part_word} {shlex.quote(str(image))}")
@@ -279,7 +270,7 @@ class NetworkManager:
                 if not self.force:
                     raise AlreadyExists(f"node {node.name!r}: {directory} already exists (use force to recreate)")
                 self._run(host, f"rm -rf {shlex.quote(str(directory))}")
-            # The copy makes the node directory: put_file makes a path's missing parents.
+            # The put makes the node directory: it makes a path's missing parents.
             self._put_json(host, self.node_identity(node).dump(), NodePaths(directory).node_json)
 
     def clients_create(self) -> PhaseTiming:
@@ -318,12 +309,11 @@ class NetworkManager:
                 created, initialized = self._exists(host, [directory, paths.blocks])
                 if not created:
                     raise NotCreated(f"miner {node.name!r}: {directory} missing (run miners-create first)")
-                blocks = shlex.quote(str(paths.blocks))
                 if initialized:
                     if not self.force:
                         raise AlreadyExists(f"miner {node.name!r}: chain store already initialized")
-                    self._run(host, f"rm -f {blocks} {shlex.quote(str(paths.mempool))}")
-                self._run(host, f"touch {blocks}")
+                    self._run(host, f"rm -f {shlex.quote(str(paths.mempool))}")
+                self.executor.put(host, b"", paths.blocks)  # an empty chain store, in place of any earlier one
                 self._put_json(host, meta_document(genesis_hash), paths.meta)
 
         return self._timed(Phase.BLOCKCHAIN_CREATE, lambda: self._each_host(self.config.miners, init_host))
@@ -337,7 +327,8 @@ class NetworkManager:
         nodes, phase = self._select_targets(targets, Phase.DISTRIBUTE_TO_CLIENTS, Phase.DISTRIBUTE_TO_MINERS)
         if not self.genesis_path().exists():
             raise MissingGenesis(f"{self.genesis_path()} missing: run blockchain-make first")
-        source_digest = hashlib.sha256(self.genesis_path().read_bytes()).hexdigest()
+        genesis = self.genesis_path().read_bytes()
+        source_digest = hashlib.sha256(genesis).hexdigest()
 
         missing: set[str] = set()
         imaged: set[str] = set()  # the hosts that hold the image already
@@ -353,7 +344,7 @@ class NetworkManager:
                 self._put_image(host)
             for node in group:
                 destination = NodePaths(self.node_dir(node.name)).genesis
-                self.executor.put_file(host, self.genesis_path(), destination)
+                self.executor.put(host, genesis, destination)
                 output = self._run(host, f"sha256sum {shlex.quote(str(destination))}")
                 copied_digest = output.split()[0] if output.split() else ""
                 if copied_digest != source_digest:
@@ -436,8 +427,9 @@ class NetworkManager:
         return self._timed(phase, body)
 
     def network_connect(self) -> PhaseTiming:
-        """Form the star: every client peers with every miner."""
-        down = [n.name for n in self.config.all_nodes() if not self.admin(n).is_up(timeout=0.5)]
+        """Form the star: every client peers with every miner, once a lock probe per host finds each node running."""
+        pids = self._running_pids(self.config.all_nodes())
+        down = [name for name, pid in pids.items() if pid is None]
         if down:
             raise NotRunning(f"cannot connect: nodes not running: {', '.join(sorted(down))}")
 

@@ -756,31 +756,20 @@ def run_node(data_dir: Path, on_ready: Callable[[], None] | None = None) -> int:
 
 
 def _parse_args(argv: list[str]) -> tuple[list[Path], bool]:
-    """The data directories and --detach of a command line.
+    """The data directories and --detach of ``[--detach] --data-dir DIR [--data-dir DIR ...]``.
 
-    The launcher's own form, ``--detach --data-dir DIR ...``, is read
-    without argparse, which would otherwise sit in the launcher's heap,
-    and so in every node it forks.
+    Several --data-dir need --detach. Any other command line prints the
+    usage to stderr and exits 2. It is read without argparse, which would
+    otherwise sit in the launcher's heap, and so in every node it forks.
     """
-    flags, dirs = argv[1::2], argv[2::2]
-    if argv[:1] == ["--detach"] and dirs and len(flags) == len(dirs) and set(flags) == {"--data-dir"}:
-        return [Path(d) for d in dirs], True
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="chainyard-node", description="Run a simulated blockchain node")
-    parser.add_argument(
-        "--data-dir", required=True, action="append", help="node data directory prepared by the manager"
-    )
-    parser.add_argument(
-        "--detach",
-        action="store_true",
-        help="have the host's launcher fork one background node per --data-dir; return once each serves admin, "
-        "or name those that failed",
-    )
-    args = parser.parse_args(argv)
-    if len(args.data_dir) > 1 and not args.detach:
-        parser.error("several --data-dir need --detach")
-    return [Path(d) for d in args.data_dir], args.detach
+    detach = argv[:1] == ["--detach"]
+    rest = argv[1:] if detach else argv
+    flags, dirs = rest[::2], rest[1::2]
+    well_formed = set(flags) == {"--data-dir"} and len(dirs) == len(flags) and not any(d.startswith("-") for d in dirs)
+    if not well_formed or (len(dirs) > 1 and not detach):
+        print("usage: chainyard-node [--detach] --data-dir DIR [--data-dir DIR ...]", file=sys.stderr)
+        raise SystemExit(2)
+    return [Path(d) for d in dirs], detach
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,6 +13,7 @@ import pytest
 from chainyard.dsl import GenesisParams, NetworkConfig, NodeSpec, parse_config
 from chainyard.executor import LocalExecutor
 from chainyard.forkserver import launcher_files
+from chainyard.launcher import code_digest
 from chainyard.manager import NetworkManager, NodeDefaults, make_bench_config
 
 # Node processes that the tests launch import chainyard from this source tree too.
@@ -233,7 +234,7 @@ def parent_pid(pid: int) -> int:
 def launcher_pid(config_dir: Path, host: str) -> int | None:
     """The pid that host's launcher wrote into its pid file in config_dir, if the file is there and names one."""
     try:
-        text = (config_dir / launcher_files(host)[0]).read_text()
+        text = (config_dir / launcher_files(host, code_digest())[0]).read_text()
     except FileNotFoundError:
         return None
     return int(text) if text.isdigit() else None

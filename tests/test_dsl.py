@@ -85,6 +85,62 @@ def test_parse_bad_role():
         parse_config(json.dumps(doc))
 
 
+# Each key of each object of the document: a value of the wrong type for it, and the message that value gets.
+_DOCUMENT_KEYS = {
+    "configurationName": (5, "configurationName must be a string"),
+    "configurationVersion": (1, "configurationVersion must be a string"),
+    "chainID": ("5871", "chainID must be a positive integer"),
+    "difficulty": (True, "difficulty must be a positive integer"),
+    "gasLimit": (2.5, "gasLimit must be a positive integer"),
+    "balance": ("x", "balance must be a non-negative integer"),
+    "clients": ({}, "clients must be an array"),
+    "miners": ("miner1", "miners must be an array"),
+}
+_MINER_KEYS = {
+    "name": (5, "name must be a string"),
+    "host": (None, "host must be a string"),
+    "blockchainPort": ("30303", "blockchainPort must be an integer port"),
+    "adminPort": (False, "adminPort must be an integer port"),
+}
+_CLIENT_KEYS = {
+    **_MINER_KEYS,
+    "role": (5, "role must be a string"),
+    "wrapperPort": (30503.0, "wrapperPort must be an integer port"),
+}
+
+
+def _schema_cases():
+    for where, keys in (("document", _DOCUMENT_KEYS), ("clients[1]", _CLIENT_KEYS), ("miners[0]", _MINER_KEYS)):
+        for key, (bad, message) in keys.items():
+            missing = f"{where}: missing required key {key!r}"
+            yield pytest.param(where, key, "missing", missing, id=f"{where}-{key}-missing")
+            yield pytest.param(where, key, bad, f"{where}: {message}", id=f"{where}-{key}-type")
+            extra = key.upper()  # a key that differs from a known one only in case is unknown
+            yield pytest.param(where, extra, "extra", f"{where}: unknown key {extra!r}", id=f"{where}-{key}-extra")
+
+
+@pytest.mark.parametrize("where, key, value, message", list(_schema_cases()))
+def test_each_key_of_each_object_is_pinned_by_its_message(where, key, value, message):
+    doc = sample_doc()
+    obj = {"document": doc, "clients[1]": doc["clients"][1], "miners[0]": doc["miners"][0]}[where]
+    if value == "missing":
+        del obj[key]
+    else:
+        obj[key] = value
+    with pytest.raises(ConfigSchemaError) as caught:
+        parse_config(json.dumps(doc))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("objects", ["clients", "miners"])
+def test_an_entry_that_is_no_object_is_named(objects):
+    doc = sample_doc()
+    doc[objects].append(["not", "an", "object"])
+    with pytest.raises(ConfigSchemaError) as caught:
+        parse_config(json.dumps(doc))
+    assert str(caught.value) == f"{objects}[{len(doc[objects]) - 1}]: must be an object"
+
+
 def test_parse_malformed_document_reports_position():
     with pytest.raises(ConfigParseError, match="line"):
         parse_config('{"configurationName": "net",')

@@ -68,9 +68,9 @@ class RecordingSsh(SshExecutor):
         super().__init__()
         self.calls: list[tuple[str, str]] = []
 
-    def run(self, host, command, **kwargs):
+    def run(self, host, command):
         self.calls.append((host, command))
-        return super().run(host, command, **kwargs)
+        return super().run(host, command)
 
 
 KINDS = {"launch": "chainyard.node --detach", "existence probe": "test -e", "lock probe": "flock -n -s"}
@@ -107,7 +107,7 @@ def test_an_ssh_copy_is_one_command_and_keeps_an_awkward_path(ssh_hosts, tmp_pat
     source = tmp_path / "source.bin"
     source.write_bytes(bytes(range(256)) * 64)
     destination = tmp_path / "it's a dir" / "deeper" / "copy.bin"
-    SshExecutor().put_file("127.0.0.2", source, destination)
+    SshExecutor().put("127.0.0.2", source.read_bytes(), destination)
     assert destination.read_bytes() == source.read_bytes()
     assert ssh_hosts.hosts() == ["127.0.0.2"]
 
@@ -182,9 +182,9 @@ class ThreadRecorder(LocalExecutor):
         self.threads.append(threading.current_thread())
         return super().run(host, command)
 
-    def put_file(self, host, local_path, remote_path):
+    def put(self, host, data, path):
         self.threads.append(threading.current_thread())
-        super().put_file(host, local_path, remote_path)
+        super().put(host, data, path)
 
 
 def test_one_host_is_worked_on_the_calling_thread(tmp_path):

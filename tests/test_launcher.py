@@ -18,8 +18,8 @@ from pathlib import Path
 import pytest
 
 from chainyard.executor import LocalExecutor
-from chainyard.forkserver import launcher_files
-from chainyard.launcher import LaunchFailed, code_image, code_image_name
+from chainyard.forkserver import LAUNCH_CLIENT, launcher_files
+from chainyard.launcher import LaunchFailed, code_digest, code_image, code_image_name
 from chainyard.manager import (
     ExecutorFailure,
     ManagerError,
@@ -220,7 +220,7 @@ def test_the_launcher_exits_with_its_last_node_and_the_network_deletes(created):
     launcher = launcher_pid(manager.config_dir(), "127.0.0.1")
     manager.network_stop()
     wait_until(lambda: not process_running(launcher), timeout=2, message="the launcher gone")
-    assert not [p.name for p in manager.config_dir().iterdir() if p.name in launcher_files("127.0.0.1")]
+    assert not [p.name for p in manager.config_dir().iterdir() if p.name in launcher_files("127.0.0.1", code_digest())]
     manager.network_delete()
     assert not manager.config_dir().exists()
 
@@ -269,7 +269,7 @@ def test_two_starts_at_once_on_one_host_reach_one_launcher(created, warm):
 
 def test_a_launch_that_no_launcher_answers_forks_its_nodes_itself(created):
     manager, config = created(prosumers=1)
-    lock_name, socket_name = launcher_files("127.0.0.1")
+    lock_name, socket_name = launcher_files("127.0.0.1", code_digest())
     with (manager.config_dir() / lock_name).open("w") as held:
         fcntl.flock(held, fcntl.LOCK_EX)  # a holder that never listens: the client, then the lock's retry, give up
         held.write(str(os.getpid()))
@@ -352,6 +352,34 @@ def test_a_home_without_its_image_starts_no_node_and_names_the_image(created):
     assert not any(manager._running_pids(config.all_nodes()).values())
     manager.distribute("miners")  # ships the image again
     manager.start("miners")
+
+
+def test_a_launch_that_reports_nothing_leads_with_what_went_wrong(created):
+    manager, config = created(prosumers=1)
+    image = manager.image_path()
+    image.unlink()
+    miner_dir = manager.node_dir(config.miners[0].name)
+    with pytest.raises(LaunchFailed) as failure:
+        manager.launcher.start("127.0.0.1", [miner_dir])
+    message = str(failure.value)
+    assert message.startswith(f"host '127.0.0.1': launch of {miner_dir} exited 1: no code image ")
+    assert not [line for line in LAUNCH_CLIENT.splitlines() if line.strip() and line in message]
+
+
+def test_a_start_after_the_code_changed_gets_a_launcher_of_its_own_version(created, monkeypatch):
+    manager, config = created(prosumers=1)
+    first, second = code_digest(), "0" * 16
+    manager.start("miners")
+    monkeypatch.setattr("chainyard.launcher.code_digest", lambda: second)  # as a checkout after an edit would
+    manager.image_path().write_bytes(code_image())  # an image named for the second version
+    manager.start("clients")
+    digests = {name: status["codeDigest"] for name, status in manager.network_status().items()}
+    assert digests == {node.name: first if node.role == "miner" else second for node in config.all_nodes()}
+    pids = manager._running_pids(config.all_nodes())
+    assert parent_pid(pids[config.miners[0].name]) not in {parent_pid(pids[c.name]) for c in config.clients}
+    for digest in (first, second):
+        lock_name, _ = launcher_files("127.0.0.1", digest)
+        assert (manager.config_dir() / lock_name).exists(), digest
 
 
 class ImagesAfterRemoval(LocalExecutor):

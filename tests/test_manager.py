@@ -49,10 +49,8 @@ def test_local_executor_runs_commands(tmp_path):
     assert executor.run("h", "exit 3").status == 3
 
 
-def test_local_executor_put_file(tmp_path):
-    src = tmp_path / "src.txt"
-    src.write_text("payload")
-    LocalExecutor().put_file("ignored", src, tmp_path / "deep" / "dst.txt")
+def test_local_executor_put(tmp_path):
+    LocalExecutor().put("ignored", b"payload", tmp_path / "deep" / "dst.txt")
     assert (tmp_path / "deep" / "dst.txt").read_text() == "payload"
 
 
@@ -186,9 +184,9 @@ class CorruptingExecutor(LocalExecutor):
     def __init__(self, victim: str):
         self.victim = victim
 
-    def put_file(self, host, local_path, remote_path):
-        super().put_file(host, local_path, remote_path)
-        path = Path(remote_path)
+    def put(self, host, data, path):
+        super().put(host, data, path)
+        path = Path(path)
         if path.name == "genesis.json" and self.victim in str(path):
             raw = bytearray(path.read_bytes())
             raw[len(raw) // 2] ^= 0xFF
@@ -447,6 +445,8 @@ def test_another_workspace_with_the_same_ports_does_not_run_this_network(live_ne
     running, config = live_network(prosumers=1, connect=False)
     other = NetworkManager(config, tmp_path / "other-ws", node_defaults=running.node_defaults)
     other.network_create()  # created, never started: its admin ports answer only for the running network
+    with pytest.raises(NotRunning, match="nodes not running"):
+        other.network_connect()
     with pytest.raises(NotRunning):
         other.network_stop()
     assert all(status is not None for status in running.network_status().values())

@@ -469,6 +469,29 @@ def test_admin_stop_replies_then_the_process_exits(tmp_path):
             proc.wait(timeout=5)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--detach"],
+        ["--data-dir"],
+        ["--data-dir", "a", "--data-dir", "b"],  # several need --detach
+        ["--data-dir", "a", "--detach"],
+        ["--data-dir=a"],
+        ["--data-dir", "a", "--verbose"],
+        ["--help"],
+    ],
+    ids=repr,
+)
+def test_a_command_line_of_any_other_form_prints_the_usage_and_exits_2(tmp_path, argv):
+    run = subprocess.run(
+        [sys.executable, "-m", "chainyard.node", *argv], cwd=tmp_path, capture_output=True, text=True, timeout=30
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == "usage: chainyard-node [--detach] --data-dir DIR [--data-dir DIR ...]\n"
+
+
 def test_sigterm_stops_a_started_node_gracefully(tmp_path):
     config, _, dirs = deploy(tmp_path, suffix="t")
     node_dir = dirs["prosumer1"]
