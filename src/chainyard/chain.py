@@ -13,10 +13,10 @@ allocation total.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
-from .canonical import ZERO_DIGEST, canonical_json, digest_of, sha256_hex
+from .canonical import ZERO_DIGEST, canonical_json, digest_of, document, from_document, sha256_hex
 from .genesis import GenesisDocument
 
 DEFAULT_TX_COST = 21000
@@ -62,49 +62,23 @@ class Transaction:
     value: int
     nonce: int
     cost: int
-    payload_hash: str | None
+    payload_hash: str | None = field(default=None, kw_only=True)  # a document without payloadHash reads as None
     tx_id: str
 
     def to_dict(self) -> dict:
-        return {
-            "sender": self.sender,
-            "recipient": self.recipient,
-            "value": self.value,
-            "nonce": self.nonce,
-            "cost": self.cost,
-            "payloadHash": self.payload_hash,
-            "txId": self.tx_id,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "Transaction":
-        return Transaction(
-            sender=data["sender"],
-            recipient=data["recipient"],
-            value=data["value"],
-            nonce=data["nonce"],
-            cost=data["cost"],
-            payload_hash=data.get("payloadHash"),
-            tx_id=data["txId"],
-        )
+        return document(self)
 
 
-def compute_tx_id(sender: str, recipient: str, value: int, nonce: int, cost: int, payload_hash: str | None) -> str:
-    return digest_of(
-        {
-            "sender": sender,
-            "recipient": recipient,
-            "value": value,
-            "nonce": nonce,
-            "cost": cost,
-            "payloadHash": payload_hash,
-        }
-    )
+def tx_digest(tx: Transaction) -> str:
+    """The id a tx's fields give it: the digest of its document without txId."""
+    doc = document(tx)
+    del doc["txId"]
+    return digest_of(doc)
 
 
 def check_tx(tx: Transaction, gas_limit: int) -> None:
     """The stateless tx rules: the id matches the fields, 1 <= cost <= gas limit, value >= 0."""
-    if compute_tx_id(tx.sender, tx.recipient, tx.value, tx.nonce, tx.cost, tx.payload_hash) != tx.tx_id:
+    if tx_digest(tx) != tx.tx_id:
         raise TxError(f"tx {tx.tx_id[:12]}: id does not match its fields")
     if tx.cost < 1:
         raise TxError(f"tx {tx.tx_id[:12]}: cost must be a positive integer")
@@ -135,8 +109,8 @@ def make_transaction(
     cost: int = DEFAULT_TX_COST,
     payload_hash: str | None = None,
 ) -> Transaction:
-    tx_id = compute_tx_id(sender, recipient, value, nonce, cost, payload_hash)
-    return Transaction(sender, recipient, value, nonce, cost, payload_hash, tx_id)
+    draft = Transaction(sender, recipient, value, nonce, cost, "", payload_hash=payload_hash)
+    return replace(draft, tx_id=tx_digest(draft))
 
 
 @dataclass(frozen=True)
@@ -150,31 +124,16 @@ class Block:
     block_hash: str
 
     def to_dict(self) -> dict:
-        return {
-            "height": self.height,
-            "parentHash": self.parent_hash,
-            "timestamp": self.timestamp,
-            "miner": self.miner,
-            "powNonce": self.pow_nonce,
-            "transactions": [tx.to_dict() for tx in self.transactions],
-            "blockHash": self.block_hash,
-        }
+        return document(self, transactions=[document(tx) for tx in self.transactions])
 
     @staticmethod
     def from_dict(data: dict) -> "Block":
-        return Block(
-            height=data["height"],
-            parent_hash=data["parentHash"],
-            timestamp=data["timestamp"],
-            miner=data["miner"],
-            pow_nonce=data["powNonce"],
-            transactions=tuple(Transaction.from_dict(t) for t in data["transactions"]),
-            block_hash=data["blockHash"],
-        )
+        transactions = tuple(from_document(Transaction, t) for t in data["transactions"])
+        return from_document(Block, data, transactions=transactions)
 
 
 def tx_root(transactions: Iterable[Transaction]) -> str:
-    return sha256_hex(canonical_json([tx.to_dict() for tx in transactions]))
+    return sha256_hex(canonical_json([document(tx) for tx in transactions]))
 
 
 def block_header_hash(height: int, parent_hash: str, timestamp: int, miner: str, pow_nonce: int, root: str) -> str:

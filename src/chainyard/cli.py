@@ -86,10 +86,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_config(path: str) -> dsl.NetworkConfig:
-    return dsl.load_config(path)
-
-
 def _manager(args, config: dsl.NetworkConfig) -> NetworkManager:
     return NetworkManager(
         config,
@@ -115,7 +111,7 @@ def _write_json(payload, path: str) -> None:
 
 
 def _cmd_validate(args) -> int:
-    config = _load_config(args.config)
+    config = dsl.load_config(args.config)
     report = dsl.validate(config)
     for issue in report.errors:
         print(f"error {issue.code}: {issue.message}")
@@ -140,7 +136,7 @@ def _lifecycle(phases: Callable[[NetworkManager], list[PhaseTiming]]) -> Callabl
     """A command that runs lifecycle phases and reports their timings."""
 
     def run(args) -> int:
-        timings = phases(_manager(args, _load_config(args.config)))
+        timings = phases(_manager(args, dsl.load_config(args.config)))
         _print_timings(timings)
         if args.csv:
             rows = ((t.phase, t.node_count, 0, t.duration) for t in timings)
@@ -153,7 +149,7 @@ def _lifecycle(phases: Callable[[NetworkManager], list[PhaseTiming]]) -> Callabl
 
 
 def _cmd_bench(args) -> int:
-    config = _load_config(args.config)
+    config = dsl.load_config(args.config)
     counts = [int(part) for part in args.counts.split(",") if part.strip()]
     result: BenchResult = bench(
         config,
@@ -214,7 +210,7 @@ def _parse_fault(spec: str | None, config: dsl.NetworkConfig, intervals: int) ->
 
 
 def _cmd_status(args) -> int:
-    status = _manager(args, _load_config(args.config)).network_status()
+    status = _manager(args, dsl.load_config(args.config)).network_status()
     for name, answer in status.items():
         if answer is None:
             print(f"{name:<16} not answering")
@@ -230,7 +226,7 @@ def _cmd_status(args) -> int:
 
 
 def _cmd_run_tes(args) -> int:
-    config = _load_config(args.config)
+    config = dsl.load_config(args.config)
     fault = _parse_fault(args.fault, config, args.intervals)
     manager = _manager(args, config)
 
@@ -270,7 +266,7 @@ def _cmd_run_tes(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    config = _load_config(args.config)
+    config = dsl.load_config(args.config)
     manager = _manager(args, config)
     report = tes.read_report(args.report)
     node_name = args.node or config.miners[0].name

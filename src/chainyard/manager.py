@@ -170,7 +170,7 @@ class NetworkManager:
             admin_port=node.admin_port,
             wrapper_port=node.wrapper_port,
             account=derive_account(self.config.configuration_name, node.name),
-            block_interval=self.node_defaults.block_interval,
+            block_interval_seconds=self.node_defaults.block_interval,
             max_block_txs=self.node_defaults.max_block_txs,
         )
 

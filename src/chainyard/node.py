@@ -5,7 +5,7 @@ A node runs from a data directory prepared by the manager:
     node.json      identity and runtime knobs
     genesis.json   canonical genesis document (hash-verified on load)
     meta.json      genesis hash stamped at first init (mismatch detection)
-    blocks.log     append-only canonical-JSON block per line
+    blocks.log     append-only log of one block per line: its key-sorted, compact, ASCII-escaped JSON
     mempool.json   pending transaction journal, rewritten whenever a tx is admitted or mined
     peers.json     known peer endpoints, re-joined on restart
     node.pid       pid of the running process, which holds an exclusive flock on it
@@ -39,9 +39,10 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from queue import PriorityQueue
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, TextIO, TypeVar
 
 from . import chain as chainmod
+from .canonical import document, from_document
 from .chain import Block, Chain, Transaction
 from .genesis import GENESIS_FILE, GenesisDocument, read_genesis
 from .protocol import Server, framed_request, reply_framed
@@ -59,7 +60,7 @@ ADMIN_LINE_MAX = 64 * 1024  # bytes in an admin request line; the largest the pr
 DEFAULT_BLOCK_INTERVAL = 0.25
 LOCK_WAIT = 0.5  # seconds a starting node or launch retries a held lock: a probe holds it far less
 IMAGE_NAME = "chainyard-{}.zip"  # a code image, with its digest D in place of {}
-THREAD_DIED = 6  # the exit status of a node that a thread's uncaught exception ended
+THREAD_DIED = 6  # the exit status of a node that a failed block append or a thread's uncaught exception ended
 
 
 def _image_digest() -> str | None:
@@ -125,48 +126,27 @@ class NodePaths:
         return self.root / "wrapper-journal.log"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class NodeIdentity:
+    """The content of ``node.json``; a file without a key that has a default here reads as that default."""
+
     configuration_name: str
     name: str
     role: str
     host: str
     blockchain_port: int
     admin_port: int
-    wrapper_port: int | None
+    wrapper_port: int | None = None
     account: str
-    block_interval: float
-    max_block_txs: int
+    block_interval_seconds: float = DEFAULT_BLOCK_INTERVAL
+    max_block_txs: int = chainmod.DEFAULT_MAX_BLOCK_TXS
 
     @staticmethod
     def load(path: Path) -> "NodeIdentity":
-        data = json.loads(path.read_text(encoding="utf-8"))
-        return NodeIdentity(
-            configuration_name=data["configurationName"],
-            name=data["name"],
-            role=data["role"],
-            host=data["host"],
-            blockchain_port=data["blockchainPort"],
-            admin_port=data["adminPort"],
-            wrapper_port=data.get("wrapperPort"),
-            account=data["account"],
-            block_interval=data.get("blockIntervalSeconds", DEFAULT_BLOCK_INTERVAL),
-            max_block_txs=data.get("maxBlockTxs", chainmod.DEFAULT_MAX_BLOCK_TXS),
-        )
+        return from_document(NodeIdentity, json.loads(path.read_text(encoding="utf-8")))
 
     def dump(self) -> dict:
-        return {
-            "configurationName": self.configuration_name,
-            "name": self.name,
-            "role": self.role,
-            "host": self.host,
-            "blockchainPort": self.blockchain_port,
-            "adminPort": self.admin_port,
-            "wrapperPort": self.wrapper_port,
-            "account": self.account,
-            "blockIntervalSeconds": self.block_interval,
-            "maxBlockTxs": self.max_block_txs,
-        }
+        return document(self)
 
 
 def meta_document(genesis_hash: str) -> dict:
@@ -178,6 +158,12 @@ def _write_json_atomic(path: Path, payload) -> None:
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(payload), encoding="utf-8")
     tmp.replace(path)
+
+
+def append_record(handle: TextIO, record: dict) -> None:
+    """Write one record to an append-only log, as a line that ``read_append_log`` reads, and flush it."""
+    handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    handle.flush()
 
 
 def read_append_log(path: Path, parse: Callable[[Any], T], repair: bool = False) -> list[T]:
@@ -246,6 +232,7 @@ class NodeRuntime:
         self.fault = "none"
         self.mining_enabled = self.identity.role == "miner"
         self.stop_event = threading.Event()
+        self.failed = False
 
         self._blocks_handle = None
         # (rank, sequence, exclude, message, to): rank 0 ends gossip, then blocks, then txs; each rank in order
@@ -290,7 +277,7 @@ class NodeRuntime:
         data = json.loads(self.paths.mempool.read_text(encoding="utf-8") or "{}")
         for tx_dict in data.get("transactions", []):
             try:
-                self.chain.submit_transaction(Transaction.from_dict(tx_dict))
+                self.chain.submit_transaction(from_document(Transaction, tx_dict))
             except (chainmod.TxError, KeyError, TypeError):
                 pass  # journal entries already mined or invalidated are dropped
 
@@ -302,8 +289,7 @@ class NodeRuntime:
     def _persist_block(self, block: Block) -> None:
         if self._blocks_handle is None:
             self._blocks_handle = self.paths.blocks.open("a", encoding="utf-8")
-        self._blocks_handle.write(json.dumps(block.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")
-        self._blocks_handle.flush()
+        append_record(self._blocks_handle, block.to_dict())
 
     def _persist_mempool(self) -> None:
         _write_json_atomic(self.paths.mempool, {"transactions": [tx.to_dict() for tx in self.chain.mempool.values()]})
@@ -354,7 +340,10 @@ class NodeRuntime:
         self._peer_server = None
         with self._lock:  # no mempool journal write: each admitted or mined tx rewrote it
             if self._blocks_handle is not None:
-                self._blocks_handle.close()
+                try:
+                    self._blocks_handle.close()
+                except OSError:  # only a line whose append failed, which fail_stop logged, is still buffered
+                    pass
                 self._blocks_handle = None
         logger.info("%s: stopped at height %d", self.identity.name, self.chain.height)
 
@@ -370,6 +359,12 @@ class NodeRuntime:
     def request_stop(self) -> None:
         self.stop_event.set()
 
+    def fail_stop(self, what: str, exc: BaseException) -> None:
+        """Log why the node cannot serve on, and stop it; ``run_node`` then returns THREAD_DIED."""
+        logger.error("%s: %s: stopping", self.identity.name, what, exc_info=exc)
+        self.failed = True
+        self.stop_event.set()
+
     # -- endpoint identity --------------------------------------------------
 
     @property
@@ -379,7 +374,7 @@ class NodeRuntime:
     # -- mining --------------------------------------------------------------
 
     def _mine_loop(self) -> None:
-        interval = max(self.identity.block_interval, 0.01)
+        interval = max(self.identity.block_interval_seconds, 0.01)
         while not self.stop_event.is_set():
             if not self.mining_enabled:
                 self.stop_event.wait(0.05)
@@ -404,7 +399,7 @@ class NodeRuntime:
             status, detail = self._accept_block(block)
             if status == "accepted":
                 logger.debug("%s mined block %d (%d txs)", self.identity.name, block.height, len(block.transactions))
-                self._enqueue(None, {"kind": "new_block", "from": self.endpoint, "block": block.to_dict()})
+                self._gossip(None, block)
             else:
                 logger.warning("%s: mined block rejected: %s %s", self.identity.name, status, detail)
             remaining = interval - (time.monotonic() - started)
@@ -412,11 +407,21 @@ class NodeRuntime:
                 self.stop_event.wait(remaining)
 
     def _accept_block(self, block: Block) -> tuple[str, str | None]:
-        """Apply a block to the chain; if accepted, persist it and the mempool it trimmed."""
+        """Apply a block to the chain; if accepted, persist it and the mempool it trimmed.
+
+        A block it cannot append stops the node, which accepts no block
+        after it, so ``blocks.log`` never skips a height.
+        """
         with self._lock:
+            if self.failed:
+                return "Stopping", None
             status, detail = self.chain.receive_block(block)
             if status == "accepted":
-                self._persist_block(block)
+                try:
+                    self._persist_block(block)
+                except OSError as exc:
+                    self.fail_stop(f"appending block {block.height} to {self.paths.blocks} failed", exc)
+                    return "Stopping", str(exc)
                 if block.transactions:
                     self._persist_mempool()
         return status, detail
@@ -426,17 +431,24 @@ class NodeRuntime:
 
         Raises TxError if the chain rejects it.
         """
-        tx = Transaction.from_dict(tx_dict)
+        tx = from_document(Transaction, tx_dict)
         with self._lock:
             known = tx.tx_id in self.chain.mempool or tx.tx_id in self.chain.applied
             self.chain.submit_transaction(tx)
             if not known:
                 self._persist_mempool()
         if not known and self.fault != "stall_mempool":
-            self._enqueue(source, {"kind": "new_tx", "from": self.endpoint, "tx": tx.to_dict()})
+            self._gossip(source, tx)
         return not known
 
     # -- gossip ----------------------------------------------------------------
+
+    def _gossip(
+        self, exclude: tuple[str, int] | None, record: Block | Transaction, to: tuple[str, int] | None = None
+    ) -> None:
+        """Queue this node's new_block or new_tx message carrying the record, as ``_enqueue`` queues a message."""
+        kind, key = ("new_block", "block") if isinstance(record, Block) else ("new_tx", "tx")
+        self._enqueue(exclude, {"kind": kind, "from": self.endpoint, key: record.to_dict()}, to)
 
     def _enqueue(self, exclude: tuple[str, int] | None, message: dict, to: tuple[str, int] | None = None) -> None:
         """Queue a message for every peer but ``exclude``, or for the peer ``to`` alone."""
@@ -495,7 +507,7 @@ class NodeRuntime:
             with self._lock:
                 pending = list(self.chain.mempool.values())
             for tx in pending:
-                self._enqueue(None, {"kind": "new_tx", "from": self.endpoint, "tx": tx.to_dict()}, to=(host, port))
+                self._gossip(None, tx, to=(host, port))
 
     def _sync_from(self, host: str, port: int) -> None:
         while not self.stop_event.is_set():
@@ -645,7 +657,7 @@ class NodeRuntime:
         status, detail = self._accept_block(block)
         if status == "accepted":
             # Forward exactly once: only the first acceptance reaches this path.
-            self._enqueue(source, {"kind": "new_block", "from": self.endpoint, "block": message["block"]})
+            self._gossip(source, block)
         elif status == "BadParent" and source and block.height > self.chain.height + 1:
             threading.Thread(target=self._guarded, args=(self._sync_from, *source), daemon=True).start()
         return {"kind": "ok", "status": status, "detail": detail}
@@ -702,9 +714,10 @@ def run_node(data_dir: Path, on_ready: Callable[[], None] | None = None) -> int:
     """Run the node of data_dir until it is stopped; return the process exit status.
 
     The node.pid lock comes first: a second node on a running directory
-    exits before it reads or writes any other file of it. A node thread
-    that dies from an uncaught exception stops the node, which then
-    returns THREAD_DIED: it never serves on without that thread.
+    exits before it reads or writes any other file of it. A block append
+    that fails, or a node thread that dies from an uncaught exception,
+    stops the node, which then returns THREAD_DIED: it never serves on
+    with a block it could not persist, or without that thread.
     """
     paths = NodePaths(data_dir)
     try:
@@ -729,15 +742,9 @@ def run_node(data_dir: Path, on_ready: Callable[[], None] | None = None) -> int:
             logger.info("signal %d: stopping", signum)
             runtime.request_stop()
 
-        died: list[str] = []
-
         def _on_thread_death(args: threading.ExceptHookArgs) -> None:
-            if args.exc_type is SystemExit:
-                return
-            name = getattr(args.thread, "name", "?")
-            logger.error("thread %s died: stopping", name, exc_info=(args.exc_type, args.exc_value, args.exc_traceback))
-            died.append(name)
-            runtime.request_stop()
+            if args.exc_type is not SystemExit:
+                runtime.fail_stop(f"thread {getattr(args.thread, 'name', '?')} died", args.exc_value)
 
         signal.signal(signal.SIGTERM, _on_signal)
         signal.signal(signal.SIGINT, _on_signal)
@@ -749,7 +756,7 @@ def run_node(data_dir: Path, on_ready: Callable[[], None] | None = None) -> int:
             return 4
         finally:
             threading.excepthook = previous_hook
-        return THREAD_DIED if died else 0
+        return THREAD_DIED if runtime.failed else 0
     finally:
         paths.pid.unlink(missing_ok=True)  # still under the lock, so never a later node's file
         os.close(lock)

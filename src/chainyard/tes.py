@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .canonical import canonical_json, digest_of, sha256_hex
+from .canonical import canonical_json, digest_of, document, from_document, sha256_hex
 from .chain import Block
 from .dsl import NetworkConfig, node_lookup
 from .genesis import derive_account
@@ -35,6 +35,7 @@ DEFAULT_INTERVALS = 24
 SETTLEMENT_COST = 21000
 BUY_PRICE = 30  # participants buy from the grid (the DSO) at this price
 SELL_PRICE = 5  # participants sell to the grid (the DSO) at this price
+TARIFF = {"buyPrice": BUY_PRICE, "sellPrice": SELL_PRICE}
 
 
 class TesError(RuntimeError):
@@ -58,17 +59,7 @@ class Order:
             raise ValueError("order unit price must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "actor": self.actor,
-            "interval": self.interval,
-            "side": self.side,
-            "quantity": self.quantity,
-            "unitPrice": self.unit_price,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "Order":
-        return Order(data["actor"], data["interval"], data["side"], data["quantity"], data["unitPrice"])
+        return document(self)
 
 
 @dataclass(frozen=True)
@@ -77,9 +68,6 @@ class Trade:
     buyer: str
     quantity: int
     unit_price: int
-
-    def to_dict(self) -> dict:
-        return {"seller": self.seller, "buyer": self.buyer, "quantity": self.quantity, "unitPrice": self.unit_price}
 
 
 @dataclass
@@ -103,15 +91,9 @@ class ClearingResult:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "interval": self.interval,
-            "trades": [t.to_dict() for t in self.trades],
-            "clearingPrice": self.clearing_price,
-            "dsoResidual": self.dso_residual,
-            "dsoSales": [[buyer, qty] for buyer, qty in self.dso_sales],
-            "dsoPurchases": [[seller, qty] for seller, qty in self.dso_purchases],
-            "tariff": {"buyPrice": BUY_PRICE, "sellPrice": SELL_PRICE},
-        }
+        trades = [document(t) for t in self.trades]
+        sales, purchases = list(map(list, self.dso_sales)), list(map(list, self.dso_purchases))
+        return {**document(self, trades=trades, dso_sales=sales, dso_purchases=purchases), "tariff": dict(TARIFF)}
 
     def digest(self) -> str:
         return digest_of(self.to_dict())
@@ -209,18 +191,6 @@ class IntervalOutcome:
     settlement_tx_ids: list[str] = field(default_factory=list)
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "interval": self.interval,
-            "status": self.status,
-            "result": self.result,
-            "digest": self.digest,
-            "chainDigest": self.chain_digest,
-            "commitTxId": self.commit_tx_id,
-            "settlementTxIds": list(self.settlement_tx_ids),
-            "error": self.error,
-        }
-
 
 class _DsoInbox:
     """Collects prosumer orders arriving on the DSO wrapper's off-chain channel.
@@ -235,7 +205,7 @@ class _DsoInbox:
         if message.get("kind") != "tes_order":
             return
         try:
-            order = Order.from_dict(json.loads(message["payload"].decode("utf-8")))
+            order = from_document(Order, json.loads(message["payload"].decode("utf-8")))
         except (ValueError, KeyError):
             logger.warning("dso inbox: discarding malformed order message")
             return
@@ -351,8 +321,8 @@ def run_day(
         "configurationName": config.configuration_name,
         "seed": seed,
         "intervals": intervals,
-        "tariff": {"buyPrice": BUY_PRICE, "sellPrice": SELL_PRICE},
-        "outcomes": [o.to_dict() for o in outcomes],
+        "tariff": dict(TARIFF),
+        "outcomes": [document(o) for o in outcomes],
         "finalChainDigest": chain_digest,
         "startedAt": started_at,
         "finishedAt": time.time(),

@@ -17,7 +17,6 @@ The node de-duplicates by tx id, so resubmission is idempotent.
 from __future__ import annotations
 
 import base64
-import json
 import logging
 import os
 import threading
@@ -32,7 +31,7 @@ from .canonical import sha256_hex
 from .chain import DEFAULT_TX_COST, Transaction, make_transaction
 from .genesis import read_genesis
 from .launcher import LaunchFailed, NodeLauncher
-from .node import NodeIdentity, NodePaths, read_append_log
+from .node import NodeIdentity, NodePaths, append_record, read_append_log
 from .protocol import (
     AdminClient,
     AdminError,
@@ -135,8 +134,7 @@ class TxJournal:
     def _record(self, record: dict) -> JournalEntry:
         """Append a record (write-ahead), then apply it as a replay of the file would."""
         with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-            handle.flush()
+            append_record(handle, record)
             os.fsync(handle.fileno())
         return self._fold(record)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import itertools
 import json
 import logging
 import os
@@ -74,7 +75,7 @@ def deploy(tmp_path, prosumers=1, block_interval=0.08, template=TEMPLATE, suffix
             admin_port=node.admin_port,
             wrapper_port=node.wrapper_port,
             account=derive_account(config.configuration_name, node.name),
-            block_interval=block_interval,
+            block_interval_seconds=block_interval,
             max_block_txs=64,
         )
         (directory / "node.json").write_text(json.dumps(identity.dump()), encoding="utf-8")
@@ -540,6 +541,58 @@ def test_a_miner_whose_mining_thread_dies_exits_with_its_own_status_and_frees_it
     assert done[0] == pid, "the miner served on after its mining thread died"
     assert os.waitstatus_to_exitcode(done[1]) == THREAD_DIED
     assert NodeLauncher().running_pids("127.0.0.1", [miner_dir]) == {miner_dir: None}
+
+
+def test_a_client_whose_block_append_fails_exits_with_its_own_status_and_restarts_on_a_whole_chain(tmp_path, boot):
+    config, _, dirs = deploy(tmp_path, suffix="append")
+    client_dir = dirs["prosumer1"]
+    pid = os.fork()
+    if pid == 0:  # the child forks before this process starts the miner's threads
+        status = 1
+        try:
+            persist, appends = NodeRuntime._persist_block, itertools.count()
+
+            def persist_all_but_the_third(runtime, block):
+                if next(appends) == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                persist(runtime, block)
+
+            NodeRuntime._persist_block = persist_all_but_the_third
+            status = run_node(client_dir)
+        finally:
+            os._exit(status)
+    done = (0, 0)
+    try:
+        miner = boot(dirs["miner1"])
+        client_admin = admin_for(config, "prosumer1")
+        wait_until(client_admin.is_up, message="the client serving admin")
+        wait_until(lambda: miner.chain.height >= 5, message="the miner at height 5")
+        client_admin.add_peer(miner.identity.host, miner.identity.blockchain_port)  # the client catches up, to fail
+        deadline = time.monotonic() + 10
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.02)
+    finally:
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    assert done[0] == pid, "the client served on after its block append failed"
+    assert os.waitstatus_to_exitcode(done[1]) == THREAD_DIED
+    assert NodeLauncher().running_pids("127.0.0.1", [client_dir]) == {client_dir: None}
+    assert [block.height for block in load_blocks(client_dir)] == [0, 1, 2]
+    boot(client_dir)  # replays its log, then catches up from the miner it knows from peers.json
+    target = miner.chain.height
+    wait_until(lambda: client_admin.block_number() >= target, message=f"the restarted client at height {target}")
+
+
+def test_a_node_whose_disk_is_full_stops_as_failed(tmp_path):
+    _, _, dirs = deploy(tmp_path, suffix="full")
+    runtime = NodeRuntime(dirs["miner1"])
+    runtime._blocks_handle = open("/dev/full", "a", encoding="utf-8")  # each flush raises ENOSPC, the line stays buffered
+    runtime.start()
+    assert runtime.stop_event.wait(5), "the miner served on after its append failed"
+    runtime.shutdown()  # flushes the buffered line once more, which fails again
+    assert runtime.failed
+    assert runtime.chain.height == 1 and load_blocks(dirs["miner1"]) == [runtime.chain.blocks[0]]
 
 
 def test_shutdown_does_not_wait_out_a_server_poll(tmp_path):
