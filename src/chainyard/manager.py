@@ -492,7 +492,7 @@ class NetworkManager:
         out: dict[str, dict | None] = {}
         for node in self.config.all_nodes():
             try:
-                out[node.name] = self.admin(node).status(timeout=1.0)
+                out[node.name] = self.admin(node, timeout=1.0).status()
             except (AdminError, AdminTimeout, AdminUnreachable):
                 out[node.name] = None
         return out

@@ -45,7 +45,7 @@ from . import chain as chainmod
 from .canonical import document, from_document
 from .chain import Block, Chain, Transaction
 from .genesis import GENESIS_FILE, GenesisDocument, read_genesis
-from .protocol import Server, framed_request, reply_framed
+from .protocol import ADMIN_OPS, AdminError, Server, framed_request, reply_framed
 
 logger = logging.getLogger(__name__)
 
@@ -152,6 +152,11 @@ class NodeIdentity:
 def meta_document(genesis_hash: str) -> dict:
     """The content of ``meta.json``: the genesis hash a data directory was initialized with."""
     return {"genesisHash": genesis_hash}
+
+
+def is_endpoint(host: Any, port: Any) -> bool:
+    """Whether a peer endpoint from outside the program is a host string and a port number (not a bool) in 1-65535."""
+    return isinstance(host, str) and type(port) is int and 1 <= port <= 65535
 
 
 def _write_json_atomic(path: Path, payload) -> None:
@@ -528,103 +533,110 @@ class NodeRuntime:
     # -- admin protocol -----------------------------------------------------------
 
     def _serve_admin(self, sock: socket.socket) -> None:
+        """Answer one admin request line of at most ADMIN_LINE_MAX bytes; a ``stop`` takes effect once answered."""
         try:
-            self._answer_admin(sock)
+            with sock.makefile("rb") as rfile:
+                line = rfile.readline(ADMIN_LINE_MAX + 1)
+            if line and self.fault == "unresponsive":  # a wedged node: it accepts the request, and never answers
+                self.stop_event.wait(UNRESPONSIVE_HANG_SECONDS)
+            elif line:
+                handler, response = self._dispatch_admin(line)
+                sock.sendall((json.dumps(response) + "\n").encode("utf-8"))
+                if handler == self._op_stop:
+                    self.request_stop()
         except OSError as exc:  # the client went away; the next one is served as ever
             logger.debug("%s: admin client went away: %r", self.identity.name, exc)
 
-    def _answer_admin(self, sock: socket.socket) -> None:
-        """Answer one admin request line of at most ADMIN_LINE_MAX bytes; a ``stop`` takes effect once answered."""
-        with sock.makefile("rb") as rfile:
-            line = rfile.readline(ADMIN_LINE_MAX + 1)
-        if not line:
-            return
-        if self.fault == "unresponsive":
-            # Replicate a wedged client: accept the request, never answer.
-            self.stop_event.wait(UNRESPONSIVE_HANG_SECONDS)
-            return
-        op = None
+    def _dispatch_admin(self, line: bytes) -> tuple[Callable[..., Any] | None, dict]:
+        """The handler ``_op_<op>`` that answered a request line, None if the reply is an error, and the reply."""
         try:
             if len(line) > ADMIN_LINE_MAX:
                 raise ValueError(f"request line longer than {ADMIN_LINE_MAX} bytes")
             request = json.loads(line.decode("utf-8"))
-            op = request.get("op")
-            params = request.get("params") or {}
-            if not isinstance(op, str):
-                raise ValueError("request must carry a string 'op'")
-            response = {"ok": True, "result": self._dispatch_admin(op, params)}
-        except (chainmod.TxError, _AdminFault) as exc:
-            response = {"ok": False, "error": {"code": exc.code, "message": str(exc)}}
+            op = request.get("op") if isinstance(request, dict) else None
+            if not isinstance(op, str) or op not in ADMIN_OPS:
+                raise ValueError(f"unknown op {op!r}" if isinstance(op, str) else "request must carry a string 'op'")
+            params = request.get("params") or {}  # the handler takes those under the op's keys; others are ignored
+            handler = getattr(self, "_op_" + op)
+            return handler, {"ok": True, "result": handler(*[params[key] for key in ADMIN_OPS[op]])}
+        except AdminError as exc:
+            error = {"code": exc.code, "message": exc.message}
+        except chainmod.TxError as exc:
+            error = {"code": exc.code, "message": str(exc)}
         except (ValueError, KeyError, TypeError) as exc:
-            response = {"ok": False, "error": {"code": "MalformedRequest", "message": str(exc)}}
+            error = {"code": "MalformedRequest", "message": str(exc)}
         except Exception as exc:  # a bad request must never take the node down
             logger.exception("%s: admin request failed", self.identity.name)
-            response = {"ok": False, "error": {"code": "InternalError", "message": str(exc)}}
-        sock.sendall((json.dumps(response) + "\n").encode("utf-8"))
-        if op == "stop" and response["ok"]:
-            self.request_stop()
+            error = {"code": "InternalError", "message": str(exc)}
+        return None, {"ok": False, "error": error}
 
-    def _dispatch_admin(self, op: str, params: dict):
-        if op == "status":
-            with self._lock:
-                return {
-                    "name": self.identity.name,
-                    "role": self.identity.role,
-                    "height": self.chain.height,
-                    "pending": len(self.chain.mempool),
-                    "peers": len(self.peers),
-                    "fault": self.fault,
-                    "mining": self.mining_enabled,
-                    "genesisHash": self.genesis_doc.genesis_hash,
-                    "account": self.identity.account,
-                    "codeDigest": CODE_DIGEST,
-                }
-        if op == "block_number":
-            with self._lock:
-                return self.chain.height
-        if op == "get_balance":
-            with self._lock:
-                return self.chain.balance_of(params["account"])
-        if op == "get_nonce":
-            with self._lock:
-                return self.chain.next_nonce_for(params["account"])
-        if op == "pending_count":
-            with self._lock:
-                return len(self.chain.mempool)
-        if op == "get_transaction":
-            with self._lock:
-                status, height, tx = self.chain.transaction_status(params["txId"])
-                return {"status": status, "height": height, "tx": tx.to_dict() if tx else None}
-        if op == "submit_tx":
-            self._admit_tx(params["tx"], None)
-            return params["tx"]["txId"]
-        if op == "add_peer":
-            return self._admin_add_peer(params["host"], params["port"])
-        if op == "set_fault":
-            mode = params["mode"]
-            if mode not in FAULT_MODES:
-                raise ValueError(f"unknown fault mode {mode!r}")
-            self.fault = mode
-            logger.info("%s: fault mode set to %s", self.identity.name, mode)
-            return mode
-        if op == "set_mining":
-            if self.identity.role != "miner":
-                raise _AdminFault("NotMiner", f"{self.identity.name} is not a miner")
-            self.mining_enabled = bool(params["enabled"])
-            return self.mining_enabled
-        if op == "stop":
-            return "stopping"  # _answer_admin sets stop_event once this reply is written
-        raise ValueError(f"unknown op {op!r}")
+    def _op_status(self) -> dict:
+        with self._lock:
+            return {
+                "name": self.identity.name,
+                "role": self.identity.role,
+                "height": self.chain.height,
+                "pending": len(self.chain.mempool),
+                "peers": len(self.peers),
+                "fault": self.fault,
+                "mining": self.mining_enabled,
+                "genesisHash": self.genesis_doc.genesis_hash,
+                "account": self.identity.account,
+                "codeDigest": CODE_DIGEST,
+            }
 
-    def _admin_add_peer(self, host: str, port: int) -> int:
+    def _op_block_number(self) -> int:
+        with self._lock:
+            return self.chain.height
+
+    def _op_get_balance(self, account: str) -> int:
+        with self._lock:
+            return self.chain.balance_of(account)
+
+    def _op_pending_count(self) -> int:
+        with self._lock:
+            return len(self.chain.mempool)
+
+    def _op_get_transaction(self, tx_id: str) -> dict:
+        with self._lock:
+            status, height, tx = self.chain.transaction_status(tx_id)
+            return {"status": status, "height": height, "tx": tx.to_dict() if tx else None}
+
+    def _op_get_nonce(self, account: str) -> int:
+        with self._lock:
+            return self.chain.next_nonce_for(account)
+
+    def _op_submit_tx(self, tx: dict) -> str:
+        self._admit_tx(tx, None)
+        return tx["txId"]
+
+    def _op_add_peer(self, host: str, port: int) -> int:
+        if not is_endpoint(host, port):
+            raise ValueError(f"peer endpoint {host!r}:{port!r} is not a host string and a port in 1-65535")
         if (host, port) == (self.identity.host, self.identity.blockchain_port):
             raise ValueError("a node cannot peer with itself")
         try:
             self._handshake(host, port)
         except OSError as exc:
-            raise _AdminFault("ConnectionRefused", f"peer {host}:{port} not reachable: {exc}") from exc
+            raise AdminError("ConnectionRefused", f"peer {host}:{port} not reachable: {exc}") from exc
         with self._lock:
             return len(self.peers)
+
+    def _op_set_fault(self, mode: str) -> str:
+        if mode not in FAULT_MODES:
+            raise ValueError(f"unknown fault mode {mode!r}")
+        self.fault = mode
+        logger.info("%s: fault mode set to %s", self.identity.name, mode)
+        return mode
+
+    def _op_set_mining(self, enabled: bool) -> bool:
+        if self.identity.role != "miner":
+            raise AdminError("NotMiner", f"{self.identity.name} is not a miner")
+        self.mining_enabled = bool(enabled)
+        return self.mining_enabled
+
+    def _op_stop(self) -> str:
+        return "stopping"  # _serve_admin sets stop_event once this reply is written
 
     # -- peer protocol -------------------------------------------------------------
 
@@ -634,11 +646,13 @@ class NodeRuntime:
         source = (sender.get("host"), sender.get("port")) if sender else None
         if kind == "hello":
             with self._lock:
-                if source and source[0] is not None:
+                if source and is_endpoint(*source):
                     self._add_peer(source)
                 return {"kind": "hello_ack", "height": self.chain.height}
         if kind == "get_blocks":
             start = int(message.get("fromHeight", 1))
+            if start < 0:
+                return {"kind": "error", "message": f"negative fromHeight {start}"}
             with self._lock:
                 batch = [b.to_dict() for b in self.chain.blocks[start : start + SYNC_BATCH]]
             return {"kind": "blocks", "blocks": batch}
@@ -661,12 +675,6 @@ class NodeRuntime:
         elif status == "BadParent" and source and block.height > self.chain.height + 1:
             threading.Thread(target=self._guarded, args=(self._sync_from, *source), daemon=True).start()
         return {"kind": "ok", "status": status, "detail": detail}
-
-
-class _AdminFault(RuntimeError):
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 def try_lock(path: str | Path) -> int | None:

@@ -3,6 +3,8 @@
 Admin protocol: newline-delimited JSON request/response over TCP,
 request ``{"op": ..., "params": {...}}``, response
 ``{"ok": bool, "result"|"error": ...}``. One request per connection.
+``ADMIN_OPS`` is the one home of the op vocabulary: the node dispatches
+on it, and ``AdminClient`` builds a method per op from it.
 
 Peer and off-chain protocols: length-prefixed JSON messages (4-byte
 big-endian length, then the UTF-8 payload), one request and its reply
@@ -73,8 +75,24 @@ class Server:
         self._listener.close()
 
 
+# Each admin op, with the keys of its params in the order its AdminClient method takes them.
+ADMIN_OPS: dict[str, tuple[str, ...]] = {
+    "status": (),
+    "block_number": (),
+    "get_balance": ("account",),
+    "pending_count": (),
+    "get_transaction": ("txId",),
+    "get_nonce": ("account",),
+    "submit_tx": ("tx",),
+    "add_peer": ("host", "port"),
+    "set_fault": ("mode",),
+    "set_mining": ("enabled",),
+    "stop": (),
+}
+
+
 class AdminError(RuntimeError):
-    """The node answered with an error response."""
+    """An admin error response: the node raises it to answer one, and the client raises it on one."""
 
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
@@ -160,44 +178,15 @@ class AdminClient:
             raise AdminError(error.get("code", "Unknown"), error.get("message", "unspecified error"))
         return response.get("result")
 
-    # Convenience wrappers for the common queries.
-
-    def status(self, timeout: float | None = None) -> dict:
-        return self.request("status", timeout=timeout)
-
-    def block_number(self) -> int:
-        return self.request("block_number")
-
-    def get_balance(self, account: str) -> int:
-        return self.request("get_balance", {"account": account})
-
-    def pending_count(self) -> int:
-        return self.request("pending_count")
-
-    def get_transaction(self, tx_id: str) -> dict:
-        return self.request("get_transaction", {"txId": tx_id})
-
-    def get_nonce(self, account: str) -> int:
-        return self.request("get_nonce", {"account": account})
-
-    def submit_tx(self, tx_dict: dict) -> str:
-        return self.request("submit_tx", {"tx": tx_dict})
-
-    def add_peer(self, host: str, port: int) -> int:
-        return self.request("add_peer", {"host": host, "port": port})
-
-    def set_fault(self, mode: str) -> str:
-        return self.request("set_fault", {"mode": mode})
-
-    def set_mining(self, enabled: bool) -> bool:
-        return self.request("set_mining", {"enabled": enabled})
-
-    def stop(self) -> str:
-        return self.request("stop")
+    def __getattr__(self, op: str) -> Callable[..., Any]:
+        """An op of ADMIN_OPS as a method, which takes the op's params in the table's order: ``add_peer(host, port)``."""
+        if op not in ADMIN_OPS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {op!r}")
+        return lambda *args: self.request(op, dict(zip(ADMIN_OPS[op], args, strict=True)))
 
     def is_up(self, timeout: float = 0.5) -> bool:
         try:
-            self.status(timeout=timeout)
+            self.request("status", timeout=timeout)
             return True
         except (AdminTimeout, AdminUnreachable, AdminError):
             return False

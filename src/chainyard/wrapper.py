@@ -537,7 +537,8 @@ class NodeWrapper:
                 return OffchainReceipt(message["msgId"], bool(ack.get("duplicate")), attempt)
             except OSError as exc:
                 last_error = exc
-                time.sleep(0.05 * attempt)
+                if attempt <= self.offchain_retries:
+                    time.sleep(0.05 * attempt)
         raise PeerUnreachable(f"{self.name}: wrapper peer {host}:{port} unreachable: {last_error}")
 
     def _offchain_reply(self, message: dict) -> dict:

@@ -36,6 +36,7 @@ from chainyard.node import (
     run_node,
 )
 from chainyard.protocol import (
+    ADMIN_OPS,
     MAX_FRAME,
     AdminClient,
     AdminError,
@@ -46,7 +47,7 @@ from chainyard.protocol import (
     recv_framed,
     send_framed,
 )
-from chainyard.wrapper import NodeWrapper
+from chainyard.wrapper import NodeWrapper, PeerUnreachable
 from conftest import wait_until
 
 TEMPLATE = NetworkConfig(
@@ -136,15 +137,17 @@ def test_admin_basic_queries(tmp_path, boot):
     assert admin.get_balance("unknown-account") == 0
 
 
-def test_admin_malformed_request(tmp_path, boot):
+def test_admin_malformed_request(tmp_path, boot, caplog):
     config, _, dirs = deploy(tmp_path, suffix="c")
     boot(dirs["prosumer1"])
     node = config.clients[0]
-    with socket.create_connection((node.host, node.admin_port), timeout=2) as sock:
-        sock.sendall(b'{"op": "no_such_op"}\n')
-        reply = json.loads(sock.recv(4096).decode())
-    assert reply["ok"] is False
-    assert reply["error"]["code"] == "MalformedRequest"
+    for line in (b'{"op": "no_such_op"}', b"[1]", b'"status"', b"null", b"5", b'{"op": ["status"]}'):
+        with socket.create_connection((node.host, node.admin_port), timeout=2) as sock:
+            sock.sendall(line + b"\n")
+            reply = json.loads(sock.makefile("rb").readline())
+        assert reply["ok"] is False, line
+        assert reply["error"]["code"] == "MalformedRequest", line
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]  # no traceback logged
 
 
 def test_an_admin_request_line_longer_than_its_bound_is_malformed(tmp_path, boot):
@@ -210,6 +213,52 @@ def test_add_peer_connection_refused(tmp_path, boot):
     with pytest.raises(AdminError) as excinfo:
         admin.add_peer("127.0.0.1", 1)  # privileged port, nothing listens
     assert excinfo.value.code == "ConnectionRefused"
+
+
+def closed_port() -> int:
+    """A port of 127.0.0.1 that nothing listens on: one the kernel just gave out, closed again."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+BAD_ENDPOINTS = [("127.0.0.1", "40002"), ("127.0.0.1", True), ("127.0.0.1", 0), ("127.0.0.1", 65536), (5, 40002)]
+
+
+@pytest.mark.parametrize("host, port", BAD_ENDPOINTS)
+def test_add_peer_with_a_malformed_endpoint_is_malformed(tmp_path, boot, host, port):
+    config, _, dirs = deploy(tmp_path, suffix="ep")
+    runtime = boot(dirs["prosumer1"])
+    with pytest.raises(AdminError) as excinfo:
+        admin_for(config, "prosumer1").add_peer(host, port)
+    assert excinfo.value.code == "MalformedRequest"
+    assert runtime.peers == set()
+
+
+def test_a_hello_from_a_malformed_endpoint_stores_no_peer_and_the_miner_mines_on(tmp_path, boot):
+    config, _, dirs = deploy(tmp_path, suffix="hi")
+    runtime = boot(dirs["miner1"])
+    miner = config.miners[0]
+    good = ("127.0.0.1", closed_port())  # a peer that is down: gossip to it fails, and is skipped
+    for host, port in [good, *BAD_ENDPOINTS]:
+        hello = {"kind": "hello", "from": {"host": host, "port": port}, "height": 0}
+        assert framed_request(miner.host, miner.blockchain_port, hello, timeout=2.0)["kind"] == "hello_ack"
+    assert runtime.peers == {good}
+    assert json.loads(NodePaths(dirs["miner1"]).peers.read_text()) == [list(good)]
+    height = runtime.chain.height
+    wait_until(lambda: runtime.chain.height >= height + 2, message="blocks mined and gossiped")
+    assert not runtime.failed and not runtime.stop_event.is_set()
+
+
+def test_get_blocks_from_a_negative_height_is_an_error(tmp_path, boot):
+    config, _, dirs = deploy(tmp_path, suffix="gb")
+    runtime = boot(dirs["miner1"])
+    wait_until(lambda: runtime.chain.height >= 1, message="a block mined")
+    miner = config.miners[0]
+    reply = framed_request(miner.host, miner.blockchain_port, {"kind": "get_blocks", "fromHeight": -1}, timeout=2.0)
+    assert reply["kind"] == "error"
+    genesis_on = framed_request(miner.host, miner.blockchain_port, {"kind": "get_blocks", "fromHeight": 0}, timeout=2.0)
+    assert genesis_on["blocks"][0]["height"] == 0
 
 
 def test_blocks_propagate_and_late_joiner_syncs(tmp_path, boot):
@@ -898,3 +947,63 @@ def test_a_node_process_imports_no_dsl_code():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=30)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_an_offchain_send_sleeps_between_attempts_only(tmp_path, monkeypatch):
+    _, _, dirs = deploy(tmp_path, suffix="oc")
+    wrapper = NodeWrapper(dirs["prosumer1"], auto_recover=False)  # never attached: no thread of its own
+    assert wrapper.offchain_retries == 2
+    sleeps, real_sleep, caller = [], time.sleep, threading.current_thread()
+
+    def sleep(seconds):  # records this thread's sleeps only; any other thread sleeps as ever
+        if threading.current_thread() is caller:
+            return sleeps.append(seconds)
+        real_sleep(seconds)
+
+    monkeypatch.setattr(time, "sleep", sleep)
+    with pytest.raises(PeerUnreachable):
+        wrapper.send_offchain(("127.0.0.1", closed_port()), b"x")
+    assert sleeps == [0.05, 0.10]
+
+
+def op_args(config, op: str) -> list:
+    """Valid arguments for an admin op sent to miner1 of a deployed network whose prosumer1 is up."""
+    miner, client = account_of(config, "miner1"), account_of(config, "prosumer1")
+    prosumer = next(node for node in config.clients if node.name == "prosumer1")
+    tx = make_transaction(client, miner, 5, nonce=0)
+    valid = {"account": miner, "txId": tx.tx_id, "tx": tx.to_dict(), "mode": "none", "enabled": True}
+    valid.update(host=prosumer.host, port=prosumer.blockchain_port)
+    return [valid[key] for key in ADMIN_OPS[op]]
+
+
+@pytest.mark.parametrize("op", ADMIN_OPS)
+def test_each_admin_client_method_sends_exactly_its_ops_keys(op):
+    sent = []
+
+    class Recording(AdminClient):
+        def request(self, op, params=None, timeout=None):
+            sent.append((op, params, timeout))
+            return "answer"
+
+    args = [f"arg{i}" for i in range(len(ADMIN_OPS[op]))]
+    assert getattr(Recording("127.0.0.1", 1), op)(*args) == "answer"
+    assert sent == [(op, dict(zip(ADMIN_OPS[op], args)), None)]
+    assert list(sent[0][1]) == list(ADMIN_OPS[op])  # in the table's order
+    with pytest.raises(ValueError):
+        getattr(Recording("127.0.0.1", 1), op)(*args, "one too many")
+
+
+@pytest.mark.parametrize("op", [op for op in ADMIN_OPS if op != "stop"])  # test_admin_stop_sets_stop_event covers stop
+def test_an_in_process_node_answers_each_admin_op_with_valid_params(tmp_path, boot, op):
+    config, _, dirs = deploy(tmp_path, suffix="ops")
+    boot(dirs["prosumer1"])
+    runtime = boot(dirs["miner1"])
+    getattr(admin_for(config, "miner1"), op)(*op_args(config, op))  # an error answer would raise AdminError
+    assert not runtime.stop_event.is_set()
+
+
+def test_the_readme_lists_exactly_the_admin_ops():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Faults and recovery", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("| `")]
+    assert rows == [f"`{op}`" for op in ADMIN_OPS]
