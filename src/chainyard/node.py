@@ -554,8 +554,10 @@ class NodeRuntime:
                 raise ValueError(f"request line longer than {ADMIN_LINE_MAX} bytes")
             request = json.loads(line.decode("utf-8"))
             op = request.get("op") if isinstance(request, dict) else None
-            if not isinstance(op, str) or op not in ADMIN_OPS:
-                raise ValueError(f"unknown op {op!r}" if isinstance(op, str) else "request must carry a string 'op'")
+            if not isinstance(op, str):
+                raise ValueError("request must carry a string 'op'")
+            if op not in ADMIN_OPS:
+                raise ValueError(f"unknown op {op!r}")
             params = request.get("params") or {}  # the handler takes those under the op's keys; others are ignored
             handler = getattr(self, "_op_" + op)
             return handler, {"ok": True, "result": handler(*[params[key] for key in ADMIN_OPS[op]])}
