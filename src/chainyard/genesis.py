@@ -1,4 +1,4 @@
-"""Deterministic first-block construction and distribution artifacts.
+"""The deterministic first block, and the artifacts that distribute it.
 
 Accounts are derived from (configuration name, node name) so every
 component can recompute them from the network document alone; no key

@@ -45,7 +45,7 @@ from . import chain as chainmod
 from .canonical import document, from_document
 from .chain import Block, Chain, Transaction
 from .genesis import GENESIS_FILE, GenesisDocument, read_genesis
-from .protocol import ADMIN_OPS, AdminError, Server, framed_request, reply_framed
+from .protocol import ADMIN_LINE_MAX, ADMIN_OPS, AdminError, Server, framed_request, read_line, reply_framed, write_line
 
 logger = logging.getLogger(__name__)
 
@@ -55,7 +55,6 @@ FAULT_MODES = ("none", "stall_mempool", "unresponsive")
 UNRESPONSIVE_HANG_SECONDS = 600.0
 SYNC_BATCH = 500
 HELLO_TIMEOUT = 3.0  # seconds a peer gets to answer a hello; a restarted node serves admin after this at most
-ADMIN_LINE_MAX = 64 * 1024  # bytes in an admin request line; the largest the program sends, a submit_tx, is < 1 KiB
 
 DEFAULT_BLOCK_INTERVAL = 0.25
 LOCK_WAIT = 0.5  # seconds a starting node or launch retries a held lock: a probe holds it far less
@@ -535,13 +534,12 @@ class NodeRuntime:
     def _serve_admin(self, sock: socket.socket) -> None:
         """Answer one admin request line of at most ADMIN_LINE_MAX bytes; a ``stop`` takes effect once answered."""
         try:
-            with sock.makefile("rb") as rfile:
-                line = rfile.readline(ADMIN_LINE_MAX + 1)
+            line = read_line(sock, ADMIN_LINE_MAX)
             if line and self.fault == "unresponsive":  # a wedged node: it accepts the request, and never answers
                 self.stop_event.wait(UNRESPONSIVE_HANG_SECONDS)
             elif line:
                 handler, response = self._dispatch_admin(line)
-                sock.sendall((json.dumps(response) + "\n").encode("utf-8"))
+                write_line(sock, response)
                 if handler == self._op_stop:
                     self.request_stop()
         except OSError as exc:  # the client went away; the next one is served as ever
@@ -632,9 +630,11 @@ class NodeRuntime:
         return mode
 
     def _op_set_mining(self, enabled: bool) -> bool:
+        if not isinstance(enabled, bool):
+            raise ValueError(f"mining flag {enabled!r} is not a bool")
         if self.identity.role != "miner":
             raise AdminError("NotMiner", f"{self.identity.name} is not a miner")
-        self.mining_enabled = bool(enabled)
+        self.mining_enabled = enabled
         return self.mining_enabled
 
     def _op_stop(self) -> str:
@@ -642,19 +642,25 @@ class NodeRuntime:
 
     # -- peer protocol -------------------------------------------------------------
 
-    def _dispatch_peer(self, message: dict) -> dict:
+    def _dispatch_peer(self, message: Any) -> dict:
+        """The reply to one peer message; a malformed one gets ``{"kind": "error", "message": ...}``."""
+        sender = message.get("from", {}) if isinstance(message, dict) else None
+        if not isinstance(sender, dict):
+            return {"kind": "error", "message": "a message and its 'from' must be objects"}
         kind = message.get("kind")
-        sender = message.get("from") or {}
         source = (sender.get("host"), sender.get("port")) if sender else None
+        record = {"new_block": "block", "new_tx": "tx"}.get(kind)
+        if record and not isinstance(message.get(record), dict):
+            return {"kind": "error", "message": f"{kind} carries no {record!r} object"}
         if kind == "hello":
             with self._lock:
                 if source and is_endpoint(*source):
                     self._add_peer(source)
                 return {"kind": "hello_ack", "height": self.chain.height}
         if kind == "get_blocks":
-            start = int(message.get("fromHeight", 1))
-            if start < 0:
-                return {"kind": "error", "message": f"negative fromHeight {start}"}
+            start = message.get("fromHeight", 1)
+            if type(start) is not int or start < 0:
+                return {"kind": "error", "message": f"fromHeight {start!r} is not a height"}
             with self._lock:
                 batch = [b.to_dict() for b in self.chain.blocks[start : start + SYNC_BATCH]]
             return {"kind": "blocks", "blocks": batch}

@@ -1,20 +1,22 @@
 """Wire protocols shared by nodes, wrappers, and the manager.
 
-Admin protocol: newline-delimited JSON request/response over TCP,
-request ``{"op": ..., "params": {...}}``, response
-``{"ok": bool, "result"|"error": ...}``. One request per connection.
-``ADMIN_OPS`` is the one home of the op vocabulary: the node dispatches
-on it, and ``AdminClient`` builds a method per op from it.
+Every port speaks one framing: each request and each reply is a frame,
+one JSON document on one line, compact and ASCII-escaped, and a
+connection carries one request and its reply. ``read_line`` and
+``write_line`` are its one reader and one writer, and ``framed_request``
+its one client round trip.
 
-Peer and off-chain protocols: length-prefixed JSON messages (4-byte
-big-endian length, then the UTF-8 payload), one request and its reply
-per connection.
+Admin port: a request ``{"op": ..., "params": {...}}`` of at most
+``ADMIN_LINE_MAX`` bytes, and a reply ``{"ok": bool, "result"|"error": ...}``.
+``ADMIN_OPS`` is the one home of the op vocabulary: the node dispatches on
+it, and ``AdminClient`` builds a method per op from it. Peer and off-chain
+ports: any request and reply of at most ``MAX_FRAME`` bytes.
 
 A server is a listening socket, one accept thread, and one thread per
 connection: ``Server(address, serve)`` calls ``serve(sock)`` on the
-connection's thread and closes the socket after it. A framed port passes
-``lambda sock: reply_framed(sock, reply)``, with ``reply`` a function of
-the request message that returns the reply message.
+connection's thread and closes the socket after it. A peer or off-chain
+port passes ``lambda sock: reply_framed(sock, reply)``, with ``reply`` a
+function of the request message that returns the reply message.
 """
 
 from __future__ import annotations
@@ -22,19 +24,19 @@ from __future__ import annotations
 import json
 import logging
 import socket
-import struct
 import threading
 from typing import Any, Callable
 
 logger = logging.getLogger(__name__)
 
-MAX_FRAME = 64 * 1024 * 1024
+ADMIN_LINE_MAX = 64 * 1024  # bytes in an admin request line; the largest the program sends, a submit_tx, is < 1 KiB
+MAX_FRAME = 64 * 1024 * 1024  # bytes in any other frame: a peer or off-chain message, or a reply
 
 
 class Server:
     """A listening socket whose accept thread serves each connection with ``serve(sock)`` on a thread of its own.
 
-    It listens from construction, so a port in use raises there, and accepts
+    It listens as soon as it is made, so a port in use raises there, and accepts
     from ``start()``. Each connection's socket is closed when ``serve``
     returns. ``stop()`` shuts the listener down, which wakes the blocked
     ``accept`` at once, and closes it.
@@ -108,45 +110,49 @@ class AdminUnreachable(ConnectionError):
     pass
 
 
-def send_framed(sock: socket.socket, obj: Any) -> None:
-    payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    sock.sendall(struct.pack(">I", len(payload)) + payload)
+def read_line(sock: socket.socket, limit: int) -> bytes:
+    """The bytes through the first newline, at most ``limit + 1`` of them, and fewer at EOF: ``readline(limit + 1)``.
 
-
-def recv_exact(sock: socket.socket, count: int) -> bytes:
+    Bytes after the newline are dropped, for a connection carries one line each way. The first
+    recv asks for 4 KiB, which most lines fit, rather than a 64 KiB buffer; later ones ask for 64 KiB.
+    """
     chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionError("peer closed connection mid-frame")
+    size = 0
+    while size <= limit and (chunk := sock.recv(min(65536 if chunks else 4096, limit + 1 - size))):
+        end = chunk.find(b"\n") + 1
+        if end:
+            chunks.append(chunk[:end])
+            break
         chunks.append(chunk)
-        remaining -= len(chunk)
+        size += len(chunk)
     return b"".join(chunks)
 
 
-def recv_framed(sock: socket.socket) -> Any:
-    (length,) = struct.unpack(">I", recv_exact(sock, 4))
-    if length > MAX_FRAME:
-        raise ConnectionError(f"frame of {length} bytes exceeds limit")
-    return json.loads(recv_exact(sock, length).decode("utf-8"))
+def write_line(sock: socket.socket, obj: Any) -> None:
+    sock.sendall(json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n")
 
 
 def framed_request(host: str, port: int, obj: Any, timeout: float = 5.0) -> Any:
-    """One length-prefixed request/response round trip on a fresh connection."""
+    """One request line and its reply line on a fresh connection; a reply cut short raises ConnectionError."""
     with socket.create_connection((host, port), timeout=timeout) as sock:
-        send_framed(sock, obj)
-        return recv_framed(sock)
+        write_line(sock, obj)
+        line = read_line(sock, MAX_FRAME)
+    if not line.endswith(b"\n"):  # a server that died mid-reply leaves a torn line, or none
+        raise ConnectionError(f"reply ended after {len(line)} bytes, before its newline")
+    return json.loads(line)
 
 
 def reply_framed(sock: socket.socket, reply: Callable[[Any], Any]) -> None:
-    """Serve one framed request on an accepted socket: read it, and write back ``reply(request)``, framed.
+    """Serve one request line on an accepted socket: read it, and write back ``reply(request)`` as a line.
 
     A client that sends garbage or goes away, or a request that ``reply``
     cannot answer, is logged and the connection closed; the server serves on.
     """
     try:
-        send_framed(sock, reply(recv_framed(sock)))
+        line = read_line(sock, MAX_FRAME)
+        if len(line) > MAX_FRAME:
+            raise ValueError(f"request line longer than {MAX_FRAME} bytes")
+        write_line(sock, reply(json.loads(line)))
     except Exception as exc:  # one bad client must never reach the serving loop
         logger.debug("framed request on port %d failed: %r", sock.getsockname()[1], exc)
 
@@ -161,14 +167,8 @@ class AdminClient:
 
     def request(self, op: str, params: dict | None = None, timeout: float | None = None) -> Any:
         deadline = self.timeout if timeout is None else timeout
-        message = json.dumps({"op": op, "params": params or {}}) + "\n"
         try:
-            with socket.create_connection((self.host, self.port), timeout=deadline) as sock:
-                sock.sendall(message.encode("utf-8"))
-                line = sock.makefile("rb").readline()
-            if not line.endswith(b"\n"):  # a node that died mid-reply leaves a torn line, or none
-                raise ConnectionError(f"admin reply ended after {len(line)} bytes, before its newline")
-            response = json.loads(line)
+            response = framed_request(self.host, self.port, {"op": op, "params": params or {}}, timeout=deadline)
         except socket.timeout as exc:
             raise AdminTimeout(f"admin {self.host}:{self.port} timed out on {op!r}") from exc
         except (OSError, ValueError) as exc:

@@ -32,15 +32,7 @@ from .chain import DEFAULT_TX_COST, Transaction, make_transaction
 from .genesis import read_genesis
 from .launcher import LaunchFailed, NodeLauncher
 from .node import NodeIdentity, NodePaths, append_record, read_append_log
-from .protocol import (
-    AdminClient,
-    AdminError,
-    AdminTimeout,
-    AdminUnreachable,
-    Server,
-    framed_request,
-    reply_framed,
-)
+from .protocol import AdminClient, AdminError, AdminTimeout, AdminUnreachable, Server, framed_request, reply_framed
 
 logger = logging.getLogger(__name__)
 

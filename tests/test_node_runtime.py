@@ -24,7 +24,6 @@ from chainyard.genesis import derive_account, make_genesis, write_genesis
 from chainyard.launcher import NodeLauncher, code_image, code_image_name
 from chainyard.manager import make_bench_config
 from chainyard.node import (
-    ADMIN_LINE_MAX,
     HELLO_TIMEOUT,
     THREAD_DIED,
     GenesisMismatch,
@@ -36,16 +35,15 @@ from chainyard.node import (
     run_node,
 )
 from chainyard.protocol import (
+    ADMIN_LINE_MAX,
     ADMIN_OPS,
-    MAX_FRAME,
     AdminClient,
     AdminError,
     AdminTimeout,
     AdminUnreachable,
     Server,
     framed_request,
-    recv_framed,
-    send_framed,
+    reply_framed,
 )
 from chainyard.wrapper import NodeWrapper, PeerUnreachable
 from conftest import wait_until
@@ -261,6 +259,29 @@ def test_get_blocks_from_a_negative_height_is_an_error(tmp_path, boot):
     assert genesis_on["blocks"][0]["height"] == 0
 
 
+MALFORMED_PEER_MESSAGES = {
+    "not an object": [1],
+    "from not an object": {"kind": "hello", "from": "x"},
+    "fromHeight a string": {"kind": "get_blocks", "fromHeight": "abc"},
+    "fromHeight a float": {"kind": "get_blocks", "fromHeight": 1.7},
+    "fromHeight a bool": {"kind": "get_blocks", "fromHeight": True},
+    "new_tx without tx": {"kind": "new_tx"},
+    "new_block without block": {"kind": "new_block"},
+    "new_tx whose tx is no object": {"kind": "new_tx", "tx": "x"},
+}
+
+
+def test_a_malformed_peer_message_is_answered_with_an_error(tmp_path, boot):
+    config, _, dirs = deploy(tmp_path, suffix="pm")
+    runtime = boot(dirs["miner1"])
+    miner = config.miners[0]
+    for case, message in MALFORMED_PEER_MESSAGES.items():
+        assert framed_request(miner.host, miner.blockchain_port, message, timeout=2.0)["kind"] == "error", case
+    from_genesis = framed_request(miner.host, miner.blockchain_port, {"kind": "get_blocks", "fromHeight": 0})
+    assert from_genesis["blocks"][0]["height"] == 0  # a message without "from" is still answered
+    assert runtime.peers == set() and not runtime.failed
+
+
 def test_blocks_propagate_and_late_joiner_syncs(tmp_path, boot):
     config, _, dirs = deploy(tmp_path, suffix="h")
     boot(dirs["miner1"])
@@ -353,7 +374,7 @@ def test_a_peer_answering_garbage_does_not_stop_the_catch_up(tmp_path, boot):
     def answer_garbage():
         conn, _ = garbage.accept()
         with conn:
-            conn.sendall(struct.pack(">I", 5) + b"{oops")  # a frame that is no JSON
+            conn.sendall(b"{oops\n")  # a frame that is no JSON
 
     with garbage:
         threading.Thread(target=answer_garbage, daemon=True).start()
@@ -386,7 +407,7 @@ def test_gossip_goes_on_past_a_peer_answering_garbage(tmp_path, boot):
             except OSError:  # the test closed the listener
                 return
             with conn:
-                conn.sendall(struct.pack(">I", 5) + b"{oops")  # a frame that is no JSON
+                conn.sendall(b"{oops\n")  # a frame that is no JSON
 
     with garbage:
         threading.Thread(target=answer_garbage, daemon=True).start()
@@ -486,6 +507,19 @@ def test_unresponsive_fault_times_out_all_queries(tmp_path, boot):
         admin.status()
     with pytest.raises(AdminTimeout):
         admin.set_fault("none")  # even the cure times out; only a restart clears it
+
+
+def test_a_mining_flag_that_is_not_a_bool_is_malformed(tmp_path, boot):
+    config, _, dirs = deploy(tmp_path, suffix="sm")
+    runtime = boot(dirs["miner1"])
+    admin = admin_for(config, "miner1")
+    assert admin.set_mining(False) is False
+    for flag in ("false", "true", 0, 1, None, [True]):
+        with pytest.raises(AdminError) as excinfo:
+            admin.set_mining(flag)
+        assert excinfo.value.code == "MalformedRequest", flag
+    assert runtime.mining_enabled is False
+    assert admin.set_mining(True) is True
 
 
 def test_admin_stop_sets_stop_event(tmp_path):
@@ -659,7 +693,7 @@ def test_shutdown_does_not_wait_out_a_server_poll(tmp_path):
 
 
 def test_a_burst_of_clients_connecting_at_once_is_served_without_a_syn_retransmit():
-    server = Server(("127.0.0.1", 0), lambda sock: send_framed(sock, recv_framed(sock)))
+    server = Server(("127.0.0.1", 0), lambda sock: reply_framed(sock, lambda message: message))
     server.start()
     port = server.server_address[1]
     clients = 21  # about one interval's orders, sent to the DSO's wrapper at once
@@ -692,7 +726,7 @@ def open_descriptors() -> int:
 
 def test_a_serving_server_holds_one_descriptor_and_none_once_stopped():
     before = open_descriptors()
-    server = Server(("127.0.0.1", 0), lambda sock: send_framed(sock, recv_framed(sock)))
+    server = Server(("127.0.0.1", 0), lambda sock: reply_framed(sock, lambda message: message))
     server.start()
     assert open_descriptors() - before == 1  # the listening socket, nothing more
     assert framed_request("127.0.0.1", server.server_address[1], {"n": 1}) == {"n": 1}
@@ -910,16 +944,18 @@ def test_a_meta_json_write_cut_short_does_not_stop_the_next_start(tmp_path, monk
     assert json.loads((dirs["prosumer1"] / "meta.json").read_text()) == {"genesisHash": doc.genesis_hash}
 
 
+SMALL_MAX_FRAME = 4096  # MAX_FRAME in the test below, so that a frame over it is small
 BAD_FRAMES = {
-    "non-JSON frame": struct.pack(">I", 5) + b"{oops",
-    "length over MAX_FRAME": struct.pack(">I", MAX_FRAME + 1),
-    "close mid-frame": struct.pack(">I", 100) + b'{"kind"',
+    "non-JSON frame": b"{oops\n",
+    "length over MAX_FRAME": b"x" * (SMALL_MAX_FRAME + 1),
+    "close mid-frame": b'{"kind"',
 }
 
 
 @pytest.mark.parametrize("bad", BAD_FRAMES.values(), ids=BAD_FRAMES.keys())
 @pytest.mark.parametrize("port", ["peer", "offchain"])
-def test_a_framed_port_serves_on_after_bad_input(tmp_path, boot, caplog, port, bad):
+def test_a_framed_port_serves_on_after_bad_input(tmp_path, boot, caplog, monkeypatch, port, bad):
+    monkeypatch.setattr("chainyard.protocol.MAX_FRAME", SMALL_MAX_FRAME)
     config, _, dirs = deploy(tmp_path, suffix="f")
     spec = next(node for node in config.clients if node.name == "prosumer1")
     wrapper = None
@@ -940,6 +976,48 @@ def test_a_framed_port_serves_on_after_bad_input(tmp_path, boot, caplog, port, b
     finally:
         if wrapper is not None:
             wrapper.close()
+
+
+@pytest.mark.parametrize(
+    "port, request_line, answer",
+    [
+        ("admin", b'{"op": "block_number"}\n', {"ok": True, "result": 0}),
+        ("peer", b'{"kind": "get_blocks", "fromHeight": 1}\n', {"kind": "blocks", "blocks": []}),
+        ("offchain", b'{"msgId": "m1"}\n', {"ok": True, "duplicate": False}),
+    ],
+    ids=["admin", "peer", "offchain"],
+)
+def test_a_request_line_to_each_port_gets_exactly_one_line_back(tmp_path, boot, port, request_line, answer):
+    config, _, dirs = deploy(tmp_path, suffix="ol")
+    spec = next(node for node in config.clients if node.name == "prosumer1")
+    boot(dirs["prosumer1"])
+    wrapper = NodeWrapper(dirs["prosumer1"], auto_recover=False).attach()
+    ports = {"admin": spec.admin_port, "peer": spec.blockchain_port, "offchain": spec.wrapper_port}
+    try:
+        with socket.create_connection((spec.host, ports[port]), timeout=3) as sock:
+            sock.sendall(request_line)
+            reply = b"".join(iter(lambda: sock.recv(65536), b""))  # up to the server's close
+    finally:
+        wrapper.close()
+    assert reply.endswith(b"\n") and reply.count(b"\n") == 1, reply
+    assert json.loads(reply) == answer
+
+
+@pytest.mark.parametrize("reply", [b'{"kind": "ok"}', b""], ids=["without its newline", "empty"])
+def test_a_framed_reply_that_ends_before_its_newline_is_a_connection_error(reply):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def answer() -> None:
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(4096)
+                conn.sendall(reply)  # and close, as a peer killed in the middle of its reply does
+
+        answerer = threading.Thread(target=answer, daemon=True)
+        answerer.start()
+        with pytest.raises(ConnectionError):
+            framed_request(*listener.getsockname(), {"kind": "hello"}, timeout=3)
+        answerer.join(timeout=3)
 
 
 def test_a_node_process_imports_no_dsl_code():
