@@ -5,15 +5,30 @@ clearing results) goes through the same canonical form: keys sorted,
 no insignificant whitespace, UTF-8, lowercase hex digests. A record is
 a dataclass whose document is ``{camelCase(field name): value}`` in
 field order: ``tx_id`` is ``txId``.
+
+This module is SHA-256's one home in a node: ``sha256`` comes from the
+interpreter's own module when it has one, as ``random`` takes its
+``sha512``, so a node maps neither ``hashlib`` nor the OpenSSL library
+under it.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 from dataclasses import MISSING, fields
-from typing import Any
+
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 ZERO_DIGEST = "0" * 64
 
@@ -23,7 +38,7 @@ def canonical_json(obj: Any) -> bytes:
 
 
 def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    return sha256(data).hexdigest()
 
 
 def digest_of(obj: Any) -> str:

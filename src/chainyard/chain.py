@@ -12,11 +12,10 @@ allocation total.
 
 from __future__ import annotations
 
-import hashlib
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
 
-from .canonical import ZERO_DIGEST, canonical_json, digest_of, document, from_document, sha256_hex
+from .canonical import ZERO_DIGEST, canonical_json, digest_of, document, from_document, sha256, sha256_hex
 from .genesis import GenesisDocument
 
 DEFAULT_TX_COST = 21000
@@ -77,7 +76,14 @@ def tx_digest(tx: Transaction) -> str:
 
 
 def check_tx(tx: Transaction, gas_limit: int) -> None:
-    """The stateless tx rules: the id matches the fields, 1 <= cost <= gas limit, value >= 0."""
+    """The stateless tx rules: value, nonce and cost are ints, the id matches, 1 <= cost <= gas limit, value >= 0.
+
+    A JSON document also gives NaN, 0.5 and true for a number, and a NaN
+    balance passes every ``value > available`` test: none is an amount.
+    """
+    for name in ("value", "nonce", "cost"):
+        if type(getattr(tx, name)) is not int:
+            raise TxError(f"tx {tx.tx_id[:12]}: {name} {getattr(tx, name)!r} is not an integer")
     if tx_digest(tx) != tx.tx_id:
         raise TxError(f"tx {tx.tx_id[:12]}: id does not match its fields")
     if tx.cost < 1:
@@ -159,7 +165,7 @@ def header_hasher(height: int, parent_hash: str, timestamp: int, miner: str, roo
     """
     before = canonical_json({"height": height, "miner": miner, "parentHash": parent_hash})
     after = canonical_json({"timestamp": timestamp, "txRoot": root})
-    prefix_state = hashlib.sha256(before[:-1] + b',"powNonce":')
+    prefix_state = sha256(before[:-1] + b',"powNonce":')
     suffix = b"," + after[1:]
 
     def digest_at(pow_nonce: int) -> bytes:

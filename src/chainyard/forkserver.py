@@ -21,8 +21,8 @@ import signal
 import socket
 import sys
 import time
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Sequence
 
 from .node import CODE_DIGEST, LOCK_WAIT, NodeIdentity, NodePaths, run_node, try_lock
 

@@ -8,14 +8,13 @@ byte-identical distribution and cross-host hash verification possible.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .canonical import canonical_json, sha256_hex
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # a node process reads genesis files and never imports the DSL
     from .dsl import NetworkConfig
 
@@ -40,7 +39,7 @@ def derive_account(configuration_name: str, node_name: str) -> str:
     if not configuration_name or not node_name:
         raise ValueError("configuration_name and node_name must be non-empty")
     material = ACCOUNT_DOMAIN_PREFIX + configuration_name.encode("utf-8") + b":" + node_name.encode("utf-8")
-    return hashlib.sha256(material).hexdigest()
+    return sha256_hex(material)
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,10 @@ import socket
 import sys
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from queue import PriorityQueue
-from typing import Any, Callable, TextIO, TypeVar
 
 from . import chain as chainmod
 from .canonical import document, from_document
@@ -47,9 +47,13 @@ from .chain import Block, Chain, Transaction
 from .genesis import GENESIS_FILE, GenesisDocument, read_genesis
 from .protocol import ADMIN_LINE_MAX, ADMIN_OPS, AdminError, Server, framed_request, read_line, reply_framed, write_line
 
-logger = logging.getLogger(__name__)
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # a node loads no typing: its annotations are strings that only a checker reads
+    from typing import Any, TextIO, TypeVar
 
-T = TypeVar("T")
+    T = TypeVar("T")
+
+logger = logging.getLogger(__name__)
 
 FAULT_MODES = ("none", "stall_mempool", "unresponsive")
 UNRESPONSIVE_HANG_SECONDS = 600.0
@@ -158,6 +162,13 @@ def is_endpoint(host: Any, port: Any) -> bool:
     return isinstance(host, str) and type(port) is int and 1 <= port <= 65535
 
 
+def _string(key: str, value: Any) -> str:
+    """An admin param that must be a string; any other JSON value raises ValueError, answered MalformedRequest."""
+    if not isinstance(value, str):
+        raise ValueError(f"{key} {value!r} is not a string")
+    return value
+
+
 def _write_json_atomic(path: Path, payload) -> None:
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(payload), encoding="utf-8")
@@ -244,6 +255,8 @@ class NodeRuntime:
         self._outbox_sequence = itertools.count()
         self._admin_server: Server | None = None
         self._peer_server: Server | None = None
+        self._catching_up = False  # whether a gossiped block's catch-up runs; under _lock
+        self._gap: tuple[int, tuple[str, int]] | None = None  # the highest block ahead seen meanwhile, and its sender
 
         self._replay()
         self._load_mempool()
@@ -591,7 +604,7 @@ class NodeRuntime:
 
     def _op_get_balance(self, account: str) -> int:
         with self._lock:
-            return self.chain.balance_of(account)
+            return self.chain.balance_of(_string("account", account))
 
     def _op_pending_count(self) -> int:
         with self._lock:
@@ -599,12 +612,12 @@ class NodeRuntime:
 
     def _op_get_transaction(self, tx_id: str) -> dict:
         with self._lock:
-            status, height, tx = self.chain.transaction_status(tx_id)
+            status, height, tx = self.chain.transaction_status(_string("txId", tx_id))
             return {"status": status, "height": height, "tx": tx.to_dict() if tx else None}
 
     def _op_get_nonce(self, account: str) -> int:
         with self._lock:
-            return self.chain.next_nonce_for(account)
+            return self.chain.next_nonce_for(_string("account", account))
 
     def _op_submit_tx(self, tx: dict) -> str:
         self._admit_tx(tx, None)
@@ -671,18 +684,44 @@ class NodeRuntime:
                 fresh = self._admit_tx(message["tx"], source)
             except chainmod.TxError as exc:
                 return {"kind": "ok", "status": "rejected", "detail": str(exc)}
+            except (KeyError, TypeError, ValueError) as exc:  # a tx without its fields, or with fields of other types
+                return {"kind": "error", "message": f"malformed tx: {exc!r}"}
             return {"kind": "ok", "status": "accepted" if fresh else "duplicate"}
         return {"kind": "error", "message": f"unknown message kind {kind!r}"}
 
     def _peer_new_block(self, message: dict, source: tuple[str, int] | None) -> dict:
-        block = Block.from_dict(message["block"])
-        status, detail = self._accept_block(block)
+        try:
+            block = Block.from_dict(message["block"])
+            status, detail = self._accept_block(block)
+        except (KeyError, TypeError, ValueError) as exc:  # a block without its fields, or with fields of other types
+            return {"kind": "error", "message": f"malformed block: {exc!r}"}
         if status == "accepted":
             # Forward exactly once: only the first acceptance reaches this path.
             self._gossip(source, block)
         elif status == "BadParent" and source and block.height > self.chain.height + 1:
-            threading.Thread(target=self._guarded, args=(self._sync_from, *source), daemon=True).start()
+            self._catch_up(block.height, source)
         return {"kind": "ok", "status": status, "detail": detail}
+
+    def _catch_up(self, height: int, source: tuple[str, int]) -> None:
+        """Catch up from source on a thread of its own, unless one runs: that one re-checks this gap as it ends.
+
+        So a burst of gossiped blocks ahead of the tip costs one catch-up, not one each.
+        """
+        with self._lock:
+            if self._catching_up:
+                if self._gap is None or height > self._gap[0]:
+                    self._gap = (height, source)
+                return
+            self._catching_up = True
+        threading.Thread(target=self._catch_up_loop, args=(source,), daemon=True).start()
+
+    def _catch_up_loop(self, source: tuple[str, int] | None) -> None:
+        while source is not None:
+            self._guarded(self._sync_from, *source)
+            with self._lock:
+                gap, self._gap = self._gap, None
+                source = gap[1] if gap is not None and gap[0] > self.chain.height else None
+                self._catching_up = source is not None
 
 
 def try_lock(path: str | Path) -> int | None:

@@ -25,7 +25,11 @@ import json
 import logging
 import socket
 import threading
-from typing import Any, Callable
+from collections.abc import Callable
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 logger = logging.getLogger(__name__)
 

@@ -24,6 +24,7 @@ from chainyard.chain import (
     meets_target,
     mine_candidate,
     pow_target,
+    tx_digest,
     tx_root,
 )
 from chainyard.genesis import make_genesis
@@ -446,3 +447,26 @@ def test_cost_must_be_positive():
     chain, accounts = build_chain()
     with pytest.raises(TxError):
         chain.submit_transaction(make_transaction(accounts[0], accounts[1], 1, nonce=0, cost=0))
+
+
+def with_field(tx, **fields):
+    """The tx with fields changed and an id that matches them: what a sender who chose those values would send."""
+    draft = dataclasses.replace(tx, **fields)
+    return dataclasses.replace(draft, tx_id=tx_digest(draft))
+
+
+@pytest.mark.parametrize(
+    "fields", [{"value": float("nan")}, {"value": 0.5}, {"value": True}, {"nonce": 0.0}, {"cost": 21000.0}]
+)
+def test_a_block_carrying_a_tx_whose_amounts_are_not_integers_is_refused_and_fails_the_audit(fields):
+    chain, accounts = build_chain()
+    mistyped = with_field(make_transaction(accounts[0], accounts[1], 10, nonce=0), **fields)
+    with pytest.raises(TxError, match="is not an integer"):
+        chain.submit_transaction(mistyped)
+    block = mine_candidate(1, chain.tip.block_hash, accounts[0], (mistyped,), chain.target_bits, timestamp=1)
+    status, detail = chain.receive_block(block)
+    assert status == "BadTx" and "is not an integer" in detail
+    assert chain.height == 0
+    assert all(type(balance) is int for balance in chain.balances.values())
+    problems = audit_chain(chain.blocks + [block], chain.genesis)
+    assert any("is not an integer" in problem for problem in problems), problems

@@ -311,6 +311,21 @@ def test_a_launch_from_the_image_loads_neither_site_nor_argparse(tmp_path):
     assert origin == f"{image}/chainyard/node.pyc"
 
 
+def test_a_node_from_the_image_loads_neither_hashlib_nor_typing_and_maps_no_libcrypto(tmp_path, created):
+    image = tmp_path / code_image_name()
+    image.write_bytes(code_image())
+    probe = "import sys, chainyard.node, chainyard.forkserver; print({'hashlib', '_hashlib', 'typing'} & {*sys.modules})"
+    env = dict(os.environ, PYTHONPATH=str(image))
+    run = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "set()"
+
+    manager, config = created(prosumers=1)
+    manager.start("miners")
+    manager.start("clients")
+    for node, pid in manager._running_pids(config.all_nodes()).items():
+        assert "libcrypto" not in Path(f"/proc/{pid}/maps").read_text(), node
+
+
 def test_every_node_runs_the_image_of_its_network_without_site(created):
     executor = CountingExecutor()
     manager, config = created(prosumers=1, executor=executor)

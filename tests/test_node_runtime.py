@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from chainyard.canonical import digest_of
 from chainyard.chain import make_transaction
 from chainyard.dsl import GenesisParams, NetworkConfig
 from chainyard.genesis import derive_account, make_genesis, write_genesis
@@ -139,7 +140,10 @@ def test_admin_malformed_request(tmp_path, boot, caplog):
     config, _, dirs = deploy(tmp_path, suffix="c")
     boot(dirs["prosumer1"])
     node = config.clients[0]
-    for line in (b'{"op": "no_such_op"}', b"[1]", b'"status"', b"null", b"5", b'{"op": ["status"]}'):
+    lines = [b'{"op": "no_such_op"}', b"[1]", b'"status"', b"null", b"5", b'{"op": ["status"]}']
+    lines += [b'{"op": "get_balance", "params": {"account": 5}}', b'{"op": "get_nonce", "params": {"account": null}}']
+    lines += [b'{"op": "get_transaction", "params": {"txId": 7}}']  # a string param of another type
+    for line in lines:
         with socket.create_connection((node.host, node.admin_port), timeout=2) as sock:
             sock.sendall(line + b"\n")
             reply = json.loads(sock.makefile("rb").readline())
@@ -259,6 +263,16 @@ def test_get_blocks_from_a_negative_height_is_an_error(tmp_path, boot):
     assert genesis_on["blocks"][0]["height"] == 0
 
 
+SOME_BLOCK = {  # a block document of no chain
+    "height": 7,
+    "parentHash": "ab" * 32,
+    "timestamp": 0,
+    "miner": "cd" * 32,
+    "powNonce": 0,
+    "transactions": [],
+    "blockHash": "ef" * 32,
+}
+
 MALFORMED_PEER_MESSAGES = {
     "not an object": [1],
     "from not an object": {"kind": "hello", "from": "x"},
@@ -268,6 +282,10 @@ MALFORMED_PEER_MESSAGES = {
     "new_tx without tx": {"kind": "new_tx"},
     "new_block without block": {"kind": "new_block"},
     "new_tx whose tx is no object": {"kind": "new_tx", "tx": "x"},
+    "new_tx whose tx lacks its fields": {"kind": "new_tx", "tx": {}},
+    "new_block whose block lacks its fields": {"kind": "new_block", "block": {}},
+    "new_block whose transactions are no records": {"kind": "new_block", "block": {"transactions": [5]}},
+    "new_block whose height is no number": {"kind": "new_block", "block": dict(SOME_BLOCK, height="1")},
 }
 
 
@@ -773,16 +791,7 @@ def test_a_catch_up_from_a_peer_that_is_down_is_logged_and_skipped(tmp_path, boo
     client = boot(dirs["prosumer1"])
     with socket.create_server(("127.0.0.1", 0)) as closed:
         down = closed.getsockname()[1]  # no listener once closed
-    block = {
-        "height": 7,
-        "parentHash": "ab" * 32,
-        "timestamp": 0,
-        "miner": "cd" * 32,
-        "powNonce": 0,
-        "transactions": [],
-        "blockHash": "ef" * 32,
-    }
-    message = {"kind": "new_block", "from": {"host": "127.0.0.1", "port": down}, "block": block}
+    message = {"kind": "new_block", "from": {"host": "127.0.0.1", "port": down}, "block": SOME_BLOCK}
     with caplog.at_level(logging.INFO, logger="chainyard.node"):
         reply = framed_request(client.identity.host, client.identity.blockchain_port, message)
         assert reply["status"] == "BadParent"
@@ -1085,3 +1094,43 @@ def test_the_readme_lists_exactly_the_admin_ops():
     section = readme.split("## Faults and recovery", 1)[1].split("\n## ", 1)[0]
     rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("| `")]
     assert rows == [f"`{op}`" for op in ADMIN_OPS]
+
+
+@pytest.mark.parametrize("field, value", [("value", float("nan")), ("value", 0.5), ("value", True), ("nonce", 0.0)])
+def test_a_submit_whose_amounts_are_not_integers_is_rejected_and_every_balance_stays_an_int(tmp_path, field, value):
+    config, doc, dirs = deploy(tmp_path, suffix="nan")
+    runtime = NodeRuntime(dirs["miner1"])  # never started: the test calls its dispatch directly
+    draft = make_transaction(account_of(config, "miner1"), account_of(config, "prosumer1"), 1, nonce=0).to_dict()
+    draft[field] = value
+    del draft["txId"]
+    tx = dict(draft, txId=digest_of(draft))  # the id matches its fields, as a sender who chose them would make it
+    line = json.dumps({"op": "submit_tx", "params": {"tx": tx}}).encode()  # as Python's JSON writes it: NaN is NaN
+    handler, reply = runtime._dispatch_admin(line)
+    assert handler is None and reply["error"]["code"] == "TxError"
+    assert "is not an integer" in reply["error"]["message"]
+    assert runtime.chain.mempool == {} and runtime.chain.assemble_candidate() == ()
+    assert all(type(balance) is int for balance in runtime.chain.balances.values())
+    assert runtime.chain.total_balance() == doc.total_supply()
+
+
+def test_a_burst_of_blocks_ahead_of_the_tip_costs_one_catch_up(tmp_path, boot):
+    config, _, dirs = deploy(tmp_path, suffix="cu")
+    miner = NodeRuntime(dirs["miner1"])
+    for timestamp in range(1, 1201):
+        miner.chain.mine_next(miner.identity.account, timestamp)
+    miner.mining_enabled = False  # so the tip stays at 1200 while the client catches up
+    served = []
+    answer = miner._dispatch_peer
+    miner._dispatch_peer = lambda message: served.append(message.get("kind")) or answer(message)
+    miner.start()
+    try:
+        client = boot(dirs["prosumer1"])
+        threads = threading.active_count()
+        gossip = {"kind": "new_block", "from": miner.endpoint, "block": miner.chain.tip.to_dict()}
+        for _ in range(20):  # a miner's gossip while the client is behind: each block is ahead of the client's tip
+            assert client._dispatch_peer(gossip)["status"] in ("BadParent", "duplicate")
+        wait_until(lambda: client.chain.height == 1200, message="client caught up")
+        wait_until(lambda: threading.active_count() <= threads, message="every catch-up ended")
+    finally:
+        miner.shutdown()
+    assert served.count("get_blocks") == 3  # 500 + 500 + 200 blocks: one catch-up's batches
