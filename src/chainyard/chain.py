@@ -76,11 +76,19 @@ def tx_digest(tx: Transaction) -> str:
 
 
 def check_tx(tx: Transaction, gas_limit: int) -> None:
-    """The stateless tx rules: value, nonce and cost are ints, the id matches, 1 <= cost <= gas limit, value >= 0.
+    """The stateless tx rules: each field has its type, the id matches, 1 <= cost <= gas limit, value >= 0.
 
     A JSON document also gives NaN, 0.5 and true for a number, and a NaN
     balance passes every ``value > available`` test: none is an amount.
+    It gives a number or a list for a string too, and an account that is
+    not a string is no account.
     """
+    if type(tx.tx_id) is not str:
+        raise TxError(f"tx id {tx.tx_id!r} is not a string")
+    if type(tx.sender) is not str or type(tx.recipient) is not str:
+        raise TxError(f"tx {tx.tx_id[:12]}: account is not a string")
+    if tx.payload_hash is not None and type(tx.payload_hash) is not str:
+        raise TxError(f"tx {tx.tx_id[:12]}: payload hash is not a string")
     for name in ("value", "nonce", "cost"):
         if type(getattr(tx, name)) is not int:
             raise TxError(f"tx {tx.tx_id[:12]}: {name} {getattr(tx, name)!r} is not an integer")
@@ -307,10 +315,10 @@ class Chain:
         nonces = dict(self.next_nonce)
         seen: set[str] = set()
         for tx in block.transactions:
-            if tx.tx_id in self.applied or tx.tx_id in seen:
-                return f"tx {tx.tx_id[:12]} already applied"
             try:
-                check_tx(tx, self.gas_limit)
+                check_tx(tx, self.gas_limit)  # first: an id that is no string is no key
+                if tx.tx_id in self.applied or tx.tx_id in seen:
+                    return f"tx {tx.tx_id[:12]} already applied"
                 apply_tx(balances, nonces, tx)
             except TxError as exc:
                 return str(exc)
@@ -397,11 +405,11 @@ def audit_chain(blocks: list[Block], doc: GenesisDocument) -> list[str]:
         if problem is not None:
             problems.append(f"block {i}: {problem}")
         for tx in block.transactions:
-            if tx.tx_id in seen_txs:
-                problems.append(f"block {i}: tx {tx.tx_id[:12]} applied twice")
-                continue
             try:
                 check_tx(tx, doc.gas_limit)
+                if tx.tx_id in seen_txs:
+                    problems.append(f"block {i}: tx {tx.tx_id[:12]} applied twice")
+                    continue
                 apply_tx(balances, nonces, tx)
             except TxError as exc:
                 problems.append(f"block {i}: {exc}")  # and left out of the running balances

@@ -3,7 +3,9 @@
 The manager performs exactly two kinds of effects on hosts: running a
 shell command and writing bytes it holds to a file. The local executor
 targets localhost regardless of the host field (test mode); the ssh
-executor shells out to ssh the way a deployment host would.
+executor shells out to ssh the way a deployment host would. Both read a
+command's output line by line as it arrives, and note when each line did,
+so one command that works on several nodes can report each node's time.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import logging
 import shlex
 import subprocess
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +24,11 @@ logger = logging.getLogger(__name__)
 class ExecResult:
     status: int
     output: str
+    line_times: tuple[float, ...] = ()  # the caller's time.perf_counter() when each output line arrived
+
+    def timed_lines(self) -> list[tuple[float, str]]:
+        """Each output line, without its newline, with the time it arrived."""
+        return list(zip(self.line_times, self.output.split("\n")))
 
 
 class Executor:
@@ -36,14 +44,9 @@ class LocalExecutor(Executor):
     """Runs every command on localhost, whatever the host field says."""
 
     def run(self, host: str, command: str) -> ExecResult:
-        proc = subprocess.run(
-            ["/bin/sh", "-c", command],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        logger.debug("local[%s]$ %s -> %d", host, command, proc.returncode)
-        return ExecResult(proc.returncode, proc.stdout)
+        result = _run(["/bin/sh", "-c", command])
+        logger.debug("local[%s]$ %s -> %d", host, command, result.status)
+        return result
 
     def put(self, host: str, data: bytes, path: str | Path) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -65,9 +68,9 @@ class SshExecutor(Executor):
         return ["ssh", *self.ssh_options, f"{self.user}@{host}" if self.user else host, command]
 
     def run(self, host: str, command: str) -> ExecResult:
-        proc = subprocess.run(self._argv(host, command), stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-        logger.debug("ssh[%s]$ %s -> %d", host, command, proc.returncode)
-        return ExecResult(proc.returncode, proc.stdout)
+        result = _run(self._argv(host, command))
+        logger.debug("ssh[%s]$ %s -> %d", host, command, result.status)
+        return result
 
     def put(self, host: str, data: bytes, path: str | Path) -> None:
         # Both paths are quoted for the remote shell, which runs the whole command.
@@ -76,6 +79,16 @@ class SshExecutor(Executor):
         copy = subprocess.run(argv, input=data, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
         if copy.returncode != 0:
             raise OSError(f"copy to {host} failed: {copy.stdout.decode(errors='replace')}")
+
+
+def _run(argv: list[str]) -> ExecResult:
+    """Run argv with stderr into stdout, reading its output a line at a time as it arrives."""
+    lines, times = [], []
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True) as proc:
+        for line in proc.stdout:
+            times.append(time.perf_counter())
+            lines.append(line)
+    return ExecResult(proc.returncode, "".join(lines), tuple(times))
 
 
 def make_executor(kind: str) -> Executor:

@@ -8,10 +8,14 @@ life and writes its pid there. The lock goes with the process, even when
 the process lingers as a zombie, so a pid counts as this node's exactly
 while a process holds the lock and the file names that pid: a stale
 ``node.pid`` whose pid another process has since taken is locked by nobody.
-``stop`` takes no pid: it is one host command that signals whatever holds
-the lock when it runs, so no pid read earlier can be stale. It is the one
-way a node is ended: SIGTERM, which the node answers with a graceful
-shutdown, and ``kill -9`` only for a holder still there after STOP_GRACE.
+``stop`` takes no pid: it is one host command per host that signals, one
+directory after another, whatever holds each lock when it runs, so no pid
+read earlier can be stale. It is the one way a node is ended: SIGTERM,
+which the node answers with a graceful shutdown, and ``kill -9`` only for
+a holder still there after STOP_GRACE. Each directory's part of the
+command ends with a marker line, and the time that line reaches the
+caller ends that node's stop: its seconds run from the previous marker,
+or for the first from the call. So a host's seconds add up to its stop.
 
 Nodes start from a warm launcher: a process per host that has imported
 the node and forks nodes on request (``forkserver.launch``). It holds the same
@@ -40,7 +44,9 @@ import json
 import marshal
 import shlex
 import sys
+import time
 import zipfile
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -95,7 +101,16 @@ class LaunchFailed(RuntimeError):
 
 
 class ProbeFailed(RuntimeError):
-    """A lock probe failed on its host (ssh exits 255 when it cannot connect): it never reads as "not running"."""
+    """A lock probe or a stop failed on its host (ssh exits 255 when it cannot connect): never "not running"."""
+
+
+@dataclass(frozen=True)
+class NodeStop:
+    """What a stop did to one data directory's node."""
+
+    running: bool  # a process held the directory's lock when the stop came to it
+    escalated: bool  # that holder outlived STOP_GRACE and got kill -9
+    seconds: float  # from the previous directory's marker, or from the call, to this one's
 
 
 class NodeLauncher:
@@ -152,16 +167,36 @@ class NodeLauncher:
             raise ProbeFailed(f"lock probe exited {result.status}: {result.output.strip()}")
         return {d: int(p) if p.isdigit() else None for d, p in zip(data_dirs, lines)}
 
-    def stop(self, host: str, data_dir: Path) -> bool:
-        """SIGTERM whatever holds data_dir's node.pid lock and wait for it to go; True if it had to be killed.
+    def stop(self, host: str, data_dirs: Sequence[Path]) -> dict[Path, NodeStop]:
+        """Stop the nodes of data_dirs one after another, in order: one host command.
 
-        One host command: it waits up to STOP_GRACE for the lock, and only a
-        holder still there gets kill -9 and a second wait. A node that is
-        not running is left as it is.
+        For each directory the command SIGTERMs whatever holds its node.pid
+        lock and waits up to STOP_GRACE for the lock; only a holder still
+        there gets kill -9 and a second wait. A node that is not running is
+        left as it is. Then it prints the directory's marker, ``=<i>:<pid>``
+        (no pid if none held the lock), after ESCALATED if it sent kill -9.
+        A command that prints no marker for some directory raises ProbeFailed.
         """
         wait = f"flock -w {STOP_GRACE:g} -s 9"
         term = f'[ -z "$p" ] || {{ kill -TERM "$p"; {wait}; }} || {{ echo {ESCALATED}; kill -9 "$p"; {wait}; }}'
-        return ESCALATED in self.executor.run(host, _holder(NodePaths(data_dir).pid, then=term)).output.split()
+        command = "; ".join(
+            f'{_holder(NodePaths(d).pid, then=term)}; echo "={i}:$p"' for i, d in enumerate(data_dirs)
+        )
+        markers = {f"={i}": d for i, d in enumerate(data_dirs)}
+        stops: dict[Path, NodeStop] = {}
+        escalated, last = False, time.perf_counter()
+        result = self.executor.run(host, command)
+        for at, line in result.timed_lines():
+            marker, _, pid = line.partition(":")
+            if line == ESCALATED:
+                escalated = True
+            elif marker in markers:
+                stops[markers[marker]] = NodeStop(pid.isdigit(), escalated, at - last)
+                escalated, last = False, at
+        if len(stops) < len(data_dirs):
+            where = ", ".join(str(d) for d in data_dirs if d not in stops)
+            raise ProbeFailed(f"lock probe and stop of {where} exited {result.status}: {result.output.strip()}")
+        return stops
 
     def reap(self) -> None:
         """Nothing to reap: nodes start detached, not as children of this process."""

@@ -11,7 +11,8 @@ and a node runs exactly while it holds its ``node.pid`` lock (one
 ``NodeLauncher.running_pids`` probe per host), never because some process
 answers on its admin port. A phase works on all its hosts at once, and on
 each host's nodes in config order. The create phases take at least one
-host command per node. Each error names the node it is about, and a probe
+host command per node; a stop takes one per host, which finds each lock's
+holder itself. Each error names the node it is about, and a probe or stop
 that fails on its host raises ExecutorFailure naming the host.
 
 Phase names mirror the canonical benchmark vocabulary: ClientsCreate,
@@ -40,7 +41,7 @@ from .chain import DEFAULT_MAX_BLOCK_TXS
 from .dsl import NetworkConfig, NodeSpec, validate
 from .executor import Executor, LocalExecutor
 from .genesis import GENESIS_FILE, GenesisDocument, derive_account, write_genesis
-from .launcher import LaunchFailed, NodeLauncher, ProbeFailed, code_image, code_image_name
+from .launcher import LaunchFailed, NodeLauncher, NodeStop, ProbeFailed, code_image, code_image_name
 from .node import DEFAULT_BLOCK_INTERVAL, IMAGE_NAME, NodeIdentity, NodePaths, meta_document
 from .protocol import AdminClient, AdminError, AdminTimeout, AdminUnreachable
 
@@ -210,6 +211,17 @@ class NetworkManager:
         except ProbeFailed as exc:
             raise ExecutorFailure(host, str(exc)) from None
         return {n.name: found[self.node_dir(n.name)] for n in group}
+
+    def _stop(self, host: str, group: Sequence[NodeSpec]) -> dict[str, NodeStop]:
+        """Stop group's nodes on host one after another, in config order: one host command.
+
+        A stop that does not report every node raises ExecutorFailure.
+        """
+        try:
+            stops = self.launcher.stop(host, [self.node_dir(n.name) for n in group])
+        except ProbeFailed as exc:
+            raise ExecutorFailure(host, str(exc)) from None
+        return {n.name: stops[self.node_dir(n.name)] for n in group}
 
     def _running_pids(self, nodes: Sequence[NodeSpec]) -> dict[str, int | None]:
         pids: dict[str, int | None] = {}
@@ -409,8 +421,9 @@ class NetworkManager:
 
         def launch_host(host: str, group: list[NodeSpec]) -> None:
             names = {self.node_dir(n.name): n.name for n in group}
-            for node in [n for n in group if pids[n.name] is not None]:  # running nodes get here only with force
-                self.launcher.stop(host, self.node_dir(node.name))
+            running = [n for n in group if pids[n.name] is not None]  # running nodes get here only with force
+            if running:
+                self._stop(host, running)
             try:
                 self.launcher.start(host, list(names))
             except LaunchFailed as exc:
@@ -445,21 +458,30 @@ class NetworkManager:
         return self._timed(Phase.NETWORK_CONNECT, lambda: self._each_host(self.config.clients, connect_host))
 
     def network_stop(self) -> PhaseTiming:
-        pids = self._running_pids(self.config.all_nodes())
-        running = [n for n in self.config.all_nodes() if pids[n.name] is not None]
-        if not running:
-            raise NotRunning("no nodes of this network are running")
+        """Stop every node: one host command per host, which stops its nodes one after another, in config order.
+
+        Logs ``stop <node>: <seconds>`` for each node that was running, in
+        config order: the time from the previous node's end, or for a host's
+        first node from its command's start, to this node's end. Raises
+        NotRunning when no node of the network was running.
+        """
+        stopped: list[str] = []
 
         def stop_host(host: str, group: list[NodeSpec]) -> None:
-            for node in group:
-                started = time.perf_counter()
-                escalated = self.launcher.stop(host, self.node_dir(node.name))
-                # The stop anomaly reported at larger network sizes makes per-node
-                # latencies worth keeping around for later investigation.
-                note = " (escalated to kill)" if escalated else ""
-                logger.info("stop %s: %.3fs%s", node.name, time.perf_counter() - started, note)
+            for name, stop in self._stop(host, group).items():
+                if stop.running:
+                    # The stop anomaly reported at larger network sizes makes per-node
+                    # latencies worth keeping around for later investigation.
+                    note = " (escalated to kill)" if stop.escalated else ""
+                    logger.info("stop %s: %.3fs%s", name, stop.seconds, note)
+                    stopped.append(name)
 
-        return self._timed(Phase.NETWORK_STOP, lambda: self._each_host(running, stop_host))
+        def body() -> None:
+            self._each_host(self.config.all_nodes(), stop_host)
+            if not stopped:
+                raise NotRunning("no nodes of this network are running")
+
+        return self._timed(Phase.NETWORK_STOP, body)
 
     def network_delete(self) -> PhaseTiming:
         """Remove every node directory, code image and the configuration directory: one probe and one rm per host.
@@ -476,8 +498,9 @@ class NetworkManager:
             raise ManagerError(f"refusing to delete while nodes run: {', '.join(sorted(alive))} (stop first)")
 
         def delete_host(host: str, group: list[NodeSpec]) -> None:
-            for node in [n for n in group if pids[n.name] is not None]:  # running nodes get here only with force
-                self.launcher.stop(host, self.node_dir(node.name))
+            running = [n for n in group if pids[n.name] is not None]  # running nodes get here only with force
+            if running:
+                self._stop(host, running)
             dirs = _quoted(self.node_dir(n.name) for n in group)
             images = shlex.quote(str(self.config_dir())) + "/" + IMAGE_NAME.format("*") + "*"  # of any code version
             self._run(host, f"rm -rf {dirs} {images} && sync -f {shlex.quote(str(self.workspace))}")

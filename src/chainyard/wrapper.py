@@ -30,7 +30,7 @@ from typing import Callable, Iterable
 from .canonical import sha256_hex
 from .chain import DEFAULT_TX_COST, Transaction, make_transaction
 from .genesis import read_genesis
-from .launcher import LaunchFailed, NodeLauncher
+from .launcher import LaunchFailed, NodeLauncher, ProbeFailed
 from .node import NodeIdentity, NodePaths, append_record, read_append_log
 from .protocol import AdminClient, AdminError, AdminTimeout, AdminUnreachable, Server, framed_request, reply_framed
 
@@ -462,9 +462,10 @@ class NodeWrapper:
                 if self._stopping.wait(self.backoff_base * 2 ** (attempts - 1) if attempts else 0):
                     break
                 attempts += 1
-                # Each attempt stops what the last one may have left running, so its start never finds the lock held.
-                self.launcher.stop(host, root)
                 try:
+                    # Each attempt stops what the last one may have left running, so its start never finds
+                    # the lock held.
+                    self.launcher.stop(host, [root])
                     self.launcher.start(host, [root])
                     status = self.admin.status()
                     if status["genesisHash"] != self.expected_genesis_hash:
@@ -474,7 +475,7 @@ class NodeWrapper:
                             f"expected {self.expected_genesis_hash}"
                         )
                     resubmitted = self._resubmit_pending()
-                except (LaunchFailed, AdminTimeout, AdminUnreachable) as exc:
+                except (ProbeFailed, LaunchFailed, AdminTimeout, AdminUnreachable) as exc:
                     logger.warning("%s: restart attempt %d failed: %s", self.name, attempts, exc)
                     continue
                 self._consecutive_timeouts = 0

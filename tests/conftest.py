@@ -204,7 +204,7 @@ def live_network(tmp_path, request):
             pid = pids[node.name]
             if pid is not None and after[node.name] == pid:
                 leaked.append(f"{node.name} (pid {pid})")
-                cleanup.launcher.stop(node.host, cleanup.node_dir(node.name))
+                cleanup.launcher.stop(node.host, [cleanup.node_dir(node.name)])
     if leaked:
         pytest.fail(f"nodes still running after cleanup: {', '.join(leaked)}")
 

@@ -470,3 +470,22 @@ def test_a_block_carrying_a_tx_whose_amounts_are_not_integers_is_refused_and_fai
     assert all(type(balance) is int for balance in chain.balances.values())
     problems = audit_chain(chain.blocks + [block], chain.genesis)
     assert any("is not an integer" in problem for problem in problems), problems
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"sender": 5}, {"recipient": None}, {"payload_hash": 1}, {"tx_id": 7}, {"tx_id": ["not", "hashable"]}],
+)
+def test_a_tx_whose_strings_are_not_strings_is_refused_by_submit_receive_and_audit(fields):
+    chain, accounts = build_chain()
+    honest = make_transaction(accounts[0], accounts[1], 0, nonce=0)  # a value of 0 needs no balance
+    mistyped = dataclasses.replace(honest, **fields) if "tx_id" in fields else with_field(honest, **fields)
+    with pytest.raises(TxError, match="is not a string"):
+        chain.submit_transaction(mistyped)
+    assert chain.mempool == {}
+    block = mine_candidate(1, chain.tip.block_hash, accounts[0], (mistyped,), chain.target_bits, timestamp=1)
+    status, detail = chain.receive_block(block)
+    assert status == "BadTx" and "is not a string" in detail
+    assert chain.height == 0
+    problems = audit_chain(chain.blocks + [block], chain.genesis)
+    assert any("is not a string" in problem for problem in problems), problems

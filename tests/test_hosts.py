@@ -73,13 +73,18 @@ class RecordingSsh(SshExecutor):
         return super().run(host, command)
 
 
-KINDS = {"launch": "chainyard.node --detach", "existence probe": "test -e", "lock probe": "flock -n -s"}
+KINDS = {
+    "launch": "chainyard.node --detach",
+    "existence probe": "test -e",
+    "stop": "kill -TERM",
+    "lock probe": "flock -n -s",
+}
 
 
 def kinds(calls: list[tuple[str, str]], host: str) -> list[str]:
     """What each command sent to host was, in order; a command of no known kind stands as itself.
 
-    A launch also probes its launcher's lock, so its mark is tried first.
+    A launch also probes its launcher's lock, and a stop its nodes' locks, so their marks are tried first.
     """
     return [next((k for k, mark in KINDS.items() if mark in command), command) for h, command in calls if h == host]
 
@@ -143,7 +148,10 @@ def test_a_network_on_three_hosts_lives_and_trades_through_ssh(ssh_hosts, networ
             wrapper.close()
     assert [o["status"] for o in report["outcomes"]] == ["ok", "ok"]
 
+    executor.calls.clear()
     manager.network_stop()
+    for host in ["127.0.0.1", *CLIENT_HOSTS]:
+        assert kinds(executor.calls, host) == ["stop"], host
     assert running(manager) == set()
     wait_until(lambda: not any(process_running(pid) for pid in hosts.values()), timeout=2, message="launchers gone")
     findings = audit_report(report, load_blocks(manager.node_dir("miner1")))
@@ -218,13 +226,24 @@ def test_a_host_that_ssh_cannot_reach_is_named_and_nothing_changes_elsewhere(ssh
     assert failure.value.host == "127.0.0.3"
     started = running(manager)
     assert started == {"miner1"}  # every host is probed before any launch
-    for phase in (manager.network_stop, manager.network_delete):
-        with pytest.raises(ExecutorFailure) as failure:
-            phase()
-        assert failure.value.host == "127.0.0.3"
-        assert running(manager) == started
-        assert all(manager.node_dir(n.name).is_dir() for n in manager.config.all_nodes())
+    with pytest.raises(ExecutorFailure) as failure:
+        manager.network_delete()
+    assert failure.value.host == "127.0.0.3"
+    assert running(manager) == started
+    assert all(manager.node_dir(n.name).is_dir() for n in manager.config.all_nodes())  # probed before any removal
     assert manager.genesis_path().is_file()
+
+
+def test_a_stop_ends_the_nodes_of_every_host_it_reaches_and_names_the_one_it_cannot(ssh_hosts, networks):
+    manager = networks(SshExecutor())
+    NetworkManager(manager.config, manager.workspace).network_create()  # locally: no copy is under test here
+    manager.start("miners")
+    manager.start("clients")
+    ssh_hosts.unreachable("127.0.0.3")
+    with pytest.raises(ExecutorFailure) as failure:
+        manager.network_stop()  # a stop is its own probe: no host waits for another to answer first
+    assert failure.value.host == "127.0.0.3"
+    assert running(manager) == {n.name for n in manager.config.clients if n.host == "127.0.0.3"}
 
 
 def test_force_restarts_running_clients_on_every_host_through_ssh(ssh_hosts, networks):
@@ -236,10 +255,11 @@ def test_force_restarts_running_clients_on_every_host_through_ssh(ssh_hosts, net
     manager.network_connect()
     before = node_pids(manager, config.clients)
 
-    forced = NetworkManager(
-        config, manager.workspace, executor=SshExecutor(), force=True, node_defaults=manager.node_defaults
-    )
+    executor = RecordingSsh()
+    forced = NetworkManager(config, manager.workspace, executor=executor, force=True, node_defaults=manager.node_defaults)
     forced.start("clients")
+    for host in CLIENT_HOSTS:
+        assert kinds(executor.calls, host) == ["existence probe", "lock probe", "stop", "launch"], host
     after = node_pids(manager, config.clients)
     assert all(after.values()) and not set(after.values()) & set(before.values())
     assert running(manager) == {n.name for n in config.all_nodes()}

@@ -3,6 +3,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,7 @@ import pytest
 from chainyard.dsl import NetworkConfig
 from chainyard.executor import ExecResult, LocalExecutor, SshExecutor
 from chainyard.genesis import make_genesis, read_genesis
-from chainyard.launcher import NodeLauncher
+from chainyard.launcher import STOP_GRACE, NodeLauncher
 from chainyard.manager import (
     AlreadyExists,
     AlreadyRunning,
@@ -29,7 +32,7 @@ from chainyard.manager import (
 )
 from chainyard.node import NodeIdentity, NodePaths
 from chainyard.protocol import AdminClient
-from conftest import BENCH_TEMPLATE, process_running
+from conftest import BENCH_TEMPLATE, CountingExecutor, process_running
 
 
 def quick_manager(tmp_path, prosumers=1, suffix="m", **kwargs):
@@ -49,6 +52,14 @@ def test_local_executor_runs_commands(tmp_path):
     assert executor.run("h", "exit 3").status == 3
 
 
+def test_an_executor_notes_when_each_output_line_arrives():
+    started = time.perf_counter()
+    result = LocalExecutor().run("h", "echo a; sleep 0.2; echo b")
+    (first, a), (second, b) = result.timed_lines()
+    assert (a, b) == ("a", "b")
+    assert started < first and second - first >= 0.15  # each line as it came, not all at the end
+
+
 def test_local_executor_put(tmp_path):
     LocalExecutor().put("ignored", b"payload", tmp_path / "deep" / "dst.txt")
     assert (tmp_path / "deep" / "dst.txt").read_text() == "payload"
@@ -57,16 +68,11 @@ def test_local_executor_put(tmp_path):
 def test_ssh_executor_builds_ssh_argv(monkeypatch):
     captured = {}
 
-    def fake_run(argv, **kwargs):
+    def fake_run(argv):
         captured["argv"] = argv
+        return ExecResult(0, "")
 
-        class R:
-            returncode = 0
-            stdout = ""
-
-        return R()
-
-    monkeypatch.setattr("chainyard.executor.subprocess.run", fake_run)
+    monkeypatch.setattr("chainyard.executor._run", fake_run)
     SshExecutor(user="deploy").run("node-7", "uptime")
     assert captured["argv"][0] == "ssh"
     assert "deploy@node-7" in captured["argv"]
@@ -383,19 +389,75 @@ def test_full_lifecycle_forms_star(live_network):
     assert not manager.config_dir().exists()
 
 
+def stop_records(caplog) -> list[logging.LogRecord]:
+    return [r for r in caplog.records if r.name == "chainyard.manager" and r.getMessage().startswith("stop ")]
+
+
 def test_network_stop_lets_every_node_exit_without_escalation(live_network, caplog):
-    manager, config = live_network(prosumers=1)
+    manager, config = live_network(prosumers=2)
     pid_files = {node.name: manager.node_dir(node.name) / "node.pid" for node in config.all_nodes()}
     pids = {name: int(path.read_text()) for name, path in pid_files.items()}
+    down = config.clients[1].name  # stopped first: it gets no line of the network's stop
+    manager.launcher.stop(config.clients[1].host, [manager.node_dir(down)])
+    executor = CountingExecutor()
+    stopper = NetworkManager(config, manager.workspace, executor=executor, node_defaults=manager.node_defaults)
     with caplog.at_level(logging.INFO, logger="chainyard.manager"):
-        manager.network_stop()
-    stops = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stop ")]
-    assert len(stops) == 3
-    assert not any("escalated to kill" in line for line in stops)
+        timing = stopper.network_stop()
+    assert [host for host, _ in executor.commands] == ["127.0.0.1"]  # one host command stops every node
+    stops = stop_records(caplog)
+    assert [r.args[0] for r in stops] == [n.name for n in config.all_nodes() if n.name != down]  # config order
+    assert not any("escalated to kill" in r.getMessage() for r in stops)
+    assert sum(r.args[1] for r in stops) <= timing.duration
     for node in config.all_nodes():
         assert manager._running_pids([node]) == {node.name: None}
         assert not process_running(pids[node.name])  # nor any other process under that pid
         assert not pid_files[node.name].exists()  # removed by the node itself on a graceful exit
+
+
+SIGTERM_IGNORING_HOLDER = """
+import fcntl, os, signal, sys, time
+signal.signal(signal.SIGTERM, signal.SIG_IGN)
+with open(sys.argv[1], "w") as pid_file:
+    fcntl.flock(pid_file, fcntl.LOCK_EX)
+    pid_file.write(str(os.getpid()))
+    pid_file.flush()
+    print("locked", flush=True)
+    time.sleep(60)
+"""
+
+
+def test_the_escalation_note_goes_on_the_line_of_the_node_that_was_killed(live_network, caplog):
+    manager, config = live_network(prosumers=2, connect=False)
+    stubborn = config.clients[1]  # between two nodes that stop gracefully
+    directory = manager.node_dir(stubborn.name)
+    manager.launcher.stop(stubborn.host, [directory])
+    holder = subprocess.Popen(
+        [sys.executable, "-c", SIGTERM_IGNORING_HOLDER, str(NodePaths(directory).pid)], stdout=subprocess.PIPE
+    )
+    try:
+        assert holder.stdout.readline() == b"locked\n"
+        with caplog.at_level(logging.INFO, logger="chainyard.manager"):
+            manager.network_stop()
+        assert holder.wait(timeout=5) == -9
+    finally:
+        holder.kill()
+        holder.wait()
+        holder.stdout.close()
+    stops = {r.args[0]: r for r in stop_records(caplog)}
+    assert list(stops) == [n.name for n in config.all_nodes()]
+    assert [name for name, r in stops.items() if r.getMessage().endswith(" (escalated to kill)")] == [stubborn.name]
+    assert stops[stubborn.name].args[1] >= STOP_GRACE
+    assert all(r.args[1] < STOP_GRACE for name, r in stops.items() if name != stubborn.name)
+
+
+def test_a_stop_that_reports_no_node_fails_naming_its_host_and_logs_no_line(live_network, caplog):
+    manager, config = live_network(prosumers=1, connect=False)
+    executor = FailingExecutor("127.0.0.1", only="kill -TERM")
+    stopper = NetworkManager(config, manager.workspace, executor=executor, node_defaults=manager.node_defaults)
+    with caplog.at_level(logging.INFO, logger="chainyard.manager"), pytest.raises(ExecutorFailure) as excinfo:
+        stopper.network_stop()
+    assert excinfo.value.host == "127.0.0.1"
+    assert stop_records(caplog) == []
 
 
 def test_a_stale_pid_of_another_process_is_not_this_node(tmp_path, foreign_process):

@@ -604,11 +604,11 @@ def test_sigterm_stops_a_started_node_gracefully(tmp_path):
     try:
         admin_for(config, "prosumer1").set_fault("unresponsive")  # from here on the admin port answers nothing
         started = time.perf_counter()
-        escalated = launcher.stop(host, node_dir)
+        stop = launcher.stop(host, [node_dir])[node_dir]
         took = time.perf_counter() - started
     finally:
-        launcher.stop(host, node_dir)  # nothing to do once the node is gone
-    assert not escalated and took < 1, took
+        launcher.stop(host, [node_dir])  # nothing to do once the node is gone
+    assert stop.running and not stop.escalated and took < 1, took
     assert launcher.running_pids(host, [node_dir]) == {node_dir: None}
     log = NodePaths(node_dir).log.read_text()
     assert "signal 15: stopping" in log
