@@ -13,9 +13,8 @@ allocation total.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
 
-from .canonical import ZERO_DIGEST, canonical_json, digest_of, document, from_document, sha256, sha256_hex
+from .canonical import ZERO_DIGEST, Record, canonical_json, digest_of, document, from_document, sha256, sha256_hex
 from .genesis import GenesisDocument
 
 DEFAULT_TX_COST = 21000
@@ -54,14 +53,13 @@ def meets_target(block_hash: str, target_bits: int) -> bool:
     return int(block_hash, 16) >> (256 - target_bits) == 0
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(Record):
     sender: str
     recipient: str
     value: int
     nonce: int
     cost: int
-    payload_hash: str | None = field(default=None, kw_only=True)  # a document without payloadHash reads as None
+    payload_hash: str | None = None  # a document without payloadHash reads as None
     tx_id: str
 
     def to_dict(self) -> dict:
@@ -124,11 +122,10 @@ def make_transaction(
     payload_hash: str | None = None,
 ) -> Transaction:
     draft = Transaction(sender, recipient, value, nonce, cost, "", payload_hash=payload_hash)
-    return replace(draft, tx_id=tx_digest(draft))
+    return draft.replace(tx_id=tx_digest(draft))
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     height: int
     parent_hash: str
     timestamp: int

@@ -9,10 +9,9 @@ byte-identical distribution and cross-host hash verification possible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .canonical import canonical_json, sha256_hex
+from .canonical import Record, canonical_json, sha256_hex
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # a node process reads genesis files and never imports the DSL
@@ -42,8 +41,7 @@ def derive_account(configuration_name: str, node_name: str) -> str:
     return sha256_hex(material)
 
 
-@dataclass(frozen=True)
-class GenesisDocument:
+class GenesisDocument(Record):
     chain_id: int
     difficulty: int
     gas_limit: int
@@ -64,7 +62,7 @@ class GenesisDocument:
             allocations=allocations,
             genesis_hash="",
         )
-        return replace(doc, genesis_hash=doc.content_hash())
+        return doc.replace(genesis_hash=doc.content_hash())
 
     def body(self) -> dict:
         return {

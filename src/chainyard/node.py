@@ -37,15 +37,25 @@ import sys
 import threading
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 from pathlib import Path
 from queue import PriorityQueue
 
 from . import chain as chainmod
-from .canonical import document, from_document
+from .canonical import Record, document, from_document
 from .chain import Block, Chain, Transaction
 from .genesis import GENESIS_FILE, GenesisDocument, read_genesis
-from .protocol import ADMIN_LINE_MAX, ADMIN_OPS, AdminError, Server, framed_request, read_line, reply_framed, write_line
+from .protocol import (
+    ADMIN_LINE_MAX,
+    ADMIN_OPS,
+    AdminError,
+    NotJsonValue,
+    Server,
+    framed_request,
+    parse_line,
+    read_line,
+    reply_framed,
+    write_line,
+)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # a node loads no typing: its annotations are strings that only a checker reads
@@ -88,8 +98,7 @@ class GenesisMismatch(RuntimeError):
     """Data directory was initialized from a different genesis document."""
 
 
-@dataclass(frozen=True)
-class NodePaths:
+class NodePaths(Record):
     root: Path
 
     @property
@@ -129,8 +138,7 @@ class NodePaths:
         return self.root / "wrapper-journal.log"
 
 
-@dataclass(frozen=True, kw_only=True)
-class NodeIdentity:
+class NodeIdentity(Record):
     """The content of ``node.json``; a file without a key that has a default here reads as that default."""
 
     configuration_name: str
@@ -169,6 +177,11 @@ def _string(key: str, value: Any) -> str:
     return value
 
 
+def _refuse_peer_request(exc: NotJsonValue) -> dict:
+    """The reply to a peer message that carries NaN or an infinity: malformed, as one whose fields have other types."""
+    return {"kind": "error", "message": f"malformed message: {exc}"}
+
+
 def _write_json_atomic(path: Path, payload) -> None:
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(payload), encoding="utf-8")
@@ -177,7 +190,7 @@ def _write_json_atomic(path: Path, payload) -> None:
 
 def append_record(handle: TextIO, record: dict) -> None:
     """Write one record to an append-only log, as a line that ``read_append_log`` reads, and flush it."""
-    handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    handle.write(json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
     handle.flush()
 
 
@@ -197,7 +210,7 @@ def read_append_log(path: Path, parse: Callable[[Any], T], repair: bool = False)
         if not line.strip():
             continue
         try:
-            records.append(parse(json.loads(line)))
+            records.append(parse(parse_line(line)))
         except (ValueError, KeyError, TypeError) as exc:
             if lineno < len(lines):
                 raise ValueError(f"{path}:{lineno}: unreadable line: {exc}") from exc
@@ -322,8 +335,10 @@ class NodeRuntime:
     def start(self) -> None:
         try:
             self._admin_server = Server((self.identity.host, self.identity.admin_port), self._serve_admin)
-            peer_address = (self.identity.host, self.identity.blockchain_port)
-            self._peer_server = Server(peer_address, lambda sock: reply_framed(sock, self._dispatch_peer))
+            self._peer_server = Server(
+                (self.identity.host, self.identity.blockchain_port),
+                lambda sock: reply_framed(sock, self._dispatch_peer, _refuse_peer_request),
+            )
         except OSError as exc:
             if self._admin_server is not None:
                 self._admin_server.stop()
@@ -563,7 +578,7 @@ class NodeRuntime:
         try:
             if len(line) > ADMIN_LINE_MAX:
                 raise ValueError(f"request line longer than {ADMIN_LINE_MAX} bytes")
-            request = json.loads(line.decode("utf-8"))
+            request = parse_line(line)
             op = request.get("op") if isinstance(request, dict) else None
             if not isinstance(op, str):
                 raise ValueError("request must carry a string 'op'")

@@ -3,8 +3,10 @@
 Every port speaks one framing: each request and each reply is a frame,
 one JSON document on one line, compact and ASCII-escaped, and a
 connection carries one request and its reply. ``read_line`` and
-``write_line`` are its one reader and one writer, and ``framed_request``
-its one client round trip.
+``write_line`` are its one reader and one writer, ``parse_line`` reads a
+line's document, and ``framed_request`` is its one client round trip.
+No line carries ``NaN``, ``Infinity`` or ``-Infinity``: JSON has no such
+values, though Python's ``json`` reads and writes them by default.
 
 Admin port: a request ``{"op": ..., "params": {...}}`` of at most
 ``ADMIN_LINE_MAX`` bytes, and a reply ``{"ok": bool, "result"|"error": ...}``.
@@ -132,8 +134,21 @@ def read_line(sock: socket.socket, limit: int) -> bytes:
     return b"".join(chunks)
 
 
+class NotJsonValue(ValueError):
+    """A document carries NaN, Infinity or -Infinity."""
+
+
+def _refuse_constant(name: str) -> None:
+    raise NotJsonValue(f"{name} is not a JSON value")
+
+
+def parse_line(line: bytes) -> Any:
+    """The JSON document of a line; a line that is no JSON raises ValueError, and one that carries NaN NotJsonValue."""
+    return json.loads(line, parse_constant=_refuse_constant)
+
+
 def write_line(sock: socket.socket, obj: Any) -> None:
-    sock.sendall(json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n")
+    sock.sendall(json.dumps(obj, separators=(",", ":"), allow_nan=False).encode("utf-8") + b"\n")
 
 
 def framed_request(host: str, port: int, obj: Any, timeout: float = 5.0) -> Any:
@@ -143,20 +158,31 @@ def framed_request(host: str, port: int, obj: Any, timeout: float = 5.0) -> Any:
         line = read_line(sock, MAX_FRAME)
     if not line.endswith(b"\n"):  # a server that died mid-reply leaves a torn line, or none
         raise ConnectionError(f"reply ended after {len(line)} bytes, before its newline")
-    return json.loads(line)
+    return parse_line(line)
 
 
-def reply_framed(sock: socket.socket, reply: Callable[[Any], Any]) -> None:
+def reply_framed(
+    sock: socket.socket, reply: Callable[[Any], Any], refuse: Callable[[NotJsonValue], Any] | None = None
+) -> None:
     """Serve one request line on an accepted socket: read it, and write back ``reply(request)`` as a line.
 
-    A client that sends garbage or goes away, or a request that ``reply``
-    cannot answer, is logged and the connection closed; the server serves on.
+    A request that carries NaN or an infinity is answered ``refuse(error)``
+    when that is given. Otherwise it, a client that sends garbage or goes
+    away, or a request that ``reply`` cannot answer, is logged and the
+    connection closed; the server serves on.
     """
     try:
         line = read_line(sock, MAX_FRAME)
         if len(line) > MAX_FRAME:
             raise ValueError(f"request line longer than {MAX_FRAME} bytes")
-        write_line(sock, reply(json.loads(line)))
+        try:
+            request = parse_line(line)
+        except NotJsonValue as exc:
+            if refuse is None:
+                raise
+            write_line(sock, refuse(exc))
+            return
+        write_line(sock, reply(request))
     except Exception as exc:  # one bad client must never reach the serving loop
         logger.debug("framed request on port %d failed: %r", sock.getsockname()[1], exc)
 

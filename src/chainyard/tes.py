@@ -24,7 +24,7 @@ from .canonical import canonical_json, digest_of, document, from_document, sha25
 from .chain import Block
 from .dsl import NetworkConfig, node_lookup
 from .genesis import derive_account
-from .protocol import AdminClient, AdminError, AdminTimeout, AdminUnreachable
+from .protocol import AdminClient, AdminError, AdminTimeout, AdminUnreachable, parse_line
 from .wrapper import NodeWrapper, PeerUnreachable
 
 logger = logging.getLogger(__name__)
@@ -205,7 +205,7 @@ class _DsoInbox:
         if message.get("kind") != "tes_order":
             return
         try:
-            order = from_document(Order, json.loads(message["payload"].decode("utf-8")))
+            order = from_document(Order, parse_line(message["payload"]))
         except (ValueError, KeyError):
             logger.warning("dso inbox: discarding malformed order message")
             return

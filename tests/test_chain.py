@@ -1,12 +1,12 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainyard.canonical import canonical_json
 from chainyard.chain import (
     BadNonce,
     Block,
@@ -406,7 +406,7 @@ def test_audit_flags_corrupted_chain():
 def test_forged_tx_id_is_refused_by_submit_receive_and_audit():
     chain, accounts = build_chain()
     honest = make_transaction(accounts[0], accounts[1], 10, nonce=0)
-    forged = dataclasses.replace(honest, value=20)  # fields changed after the id was made
+    forged = honest.replace(value=20)  # fields changed after the id was made
     with pytest.raises(TxError, match="id does not match"):
         chain.submit_transaction(forged)
     block = mine_candidate(1, chain.tip.block_hash, accounts[0], (forged,), chain.target_bits, timestamp=1)
@@ -451,12 +451,12 @@ def test_cost_must_be_positive():
 
 def with_field(tx, **fields):
     """The tx with fields changed and an id that matches them: what a sender who chose those values would send."""
-    draft = dataclasses.replace(tx, **fields)
-    return dataclasses.replace(draft, tx_id=tx_digest(draft))
+    draft = tx.replace(**fields)
+    return draft.replace(tx_id=tx_digest(draft))
 
 
 @pytest.mark.parametrize(
-    "fields", [{"value": float("nan")}, {"value": 0.5}, {"value": True}, {"nonce": 0.0}, {"cost": 21000.0}]
+    "fields", [{"value": 10.0}, {"value": 0.5}, {"value": True}, {"nonce": 0.0}, {"cost": 21000.0}]
 )
 def test_a_block_carrying_a_tx_whose_amounts_are_not_integers_is_refused_and_fails_the_audit(fields):
     chain, accounts = build_chain()
@@ -472,6 +472,18 @@ def test_a_block_carrying_a_tx_whose_amounts_are_not_integers_is_refused_and_fai
     assert any("is not an integer" in problem for problem in problems), problems
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_tx_whose_amount_is_nan_or_infinite_has_no_id_and_no_block_can_carry_it(value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        canonical_json(value)
+    chain, accounts = build_chain()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        make_transaction(accounts[0], accounts[1], value, nonce=0)
+    honest = make_transaction(accounts[0], accounts[1], 10, nonce=0)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        mine_candidate(1, chain.tip.block_hash, accounts[0], (honest.replace(value=value),), chain.target_bits, 1)
+
+
 @pytest.mark.parametrize(
     "fields",
     [{"sender": 5}, {"recipient": None}, {"payload_hash": 1}, {"tx_id": 7}, {"tx_id": ["not", "hashable"]}],
@@ -479,7 +491,7 @@ def test_a_block_carrying_a_tx_whose_amounts_are_not_integers_is_refused_and_fai
 def test_a_tx_whose_strings_are_not_strings_is_refused_by_submit_receive_and_audit(fields):
     chain, accounts = build_chain()
     honest = make_transaction(accounts[0], accounts[1], 0, nonce=0)  # a value of 0 needs no balance
-    mistyped = dataclasses.replace(honest, **fields) if "tx_id" in fields else with_field(honest, **fields)
+    mistyped = honest.replace(**fields) if "tx_id" in fields else with_field(honest, **fields)
     with pytest.raises(TxError, match="is not a string"):
         chain.submit_transaction(mistyped)
     assert chain.mempool == {}

@@ -19,7 +19,7 @@ import pytest
 
 from chainyard.executor import LocalExecutor
 from chainyard.forkserver import LAUNCH_CLIENT, launcher_files
-from chainyard.launcher import LaunchFailed, code_digest, code_image, code_image_name
+from chainyard.launcher import IMAGE_MODULES, LaunchFailed, code_digest, code_image, code_image_name
 from chainyard.manager import (
     ExecutorFailure,
     ManagerError,
@@ -311,19 +311,31 @@ def test_a_launch_from_the_image_loads_neither_site_nor_argparse(tmp_path):
     assert origin == f"{image}/chainyard/node.pyc"
 
 
-def test_a_node_from_the_image_loads_neither_hashlib_nor_typing_and_maps_no_libcrypto(tmp_path, created):
+def modules_of_a_node_from_the_image(tmp_path) -> set[str]:
+    """The modules an interpreter has loaded once it imported a node from the image, as a launcher does: under -S."""
     image = tmp_path / code_image_name()
     image.write_bytes(code_image())
-    probe = "import sys, chainyard.node, chainyard.forkserver; print({'hashlib', '_hashlib', 'typing'} & {*sys.modules})"
+    probe = "import json, sys, chainyard.node, chainyard.forkserver; print(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(image))
     run = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "set()"
+    return set(json.loads(run.stdout))
+
+
+def test_a_node_from_the_image_loads_neither_hashlib_nor_typing_and_maps_no_libcrypto(tmp_path, created):
+    assert {"hashlib", "_hashlib", "typing"} & modules_of_a_node_from_the_image(tmp_path) == set()
 
     manager, config = created(prosumers=1)
     manager.start("miners")
     manager.start("clients")
     for node, pid in manager._running_pids(config.all_nodes()).items():
         assert "libcrypto" not in Path(f"/proc/{pid}/maps").read_text(), node
+
+
+def test_a_node_from_the_image_loads_no_dataclasses_and_of_chainyard_exactly_the_image_modules(tmp_path):
+    loaded = modules_of_a_node_from_the_image(tmp_path)
+    assert {"dataclasses", "inspect", "ast", "dis", "copy"} & loaded == set()
+    image = {"chainyard" if name == "__init__" else f"chainyard.{name}" for name in IMAGE_MODULES}
+    assert {name for name in loaded if name.partition(".")[0] == "chainyard"} == image
 
 
 def test_every_node_runs_the_image_of_its_network_without_site(created):

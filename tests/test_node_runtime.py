@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import errno
 import itertools
 import json
@@ -32,7 +31,9 @@ from chainyard.node import (
     NodePaths,
     NodeRuntime,
     PortInUse,
+    append_record,
     load_blocks,
+    read_append_log,
     run_node,
 )
 from chainyard.protocol import (
@@ -848,7 +849,7 @@ def test_forged_peer_tx_is_rejected_and_the_miner_mines_on(tmp_path, boot):
     admin = admin_for(config, "miner1")
     miner = config.miners[0]
     honest = make_transaction(account_of(config, "miner1"), account_of(config, "prosumer1"), 5, nonce=0)
-    forged = dataclasses.replace(honest, value=6)  # fields changed after the id was made
+    forged = honest.replace(value=6)  # fields changed after the id was made
     reply = framed_request(miner.host, miner.blockchain_port, {"kind": "new_tx", "tx": forged.to_dict()}, timeout=3.0)
     assert reply["status"] == "rejected", reply
     assert admin.pending_count() == 0
@@ -1096,7 +1097,7 @@ def test_the_readme_lists_exactly_the_admin_ops():
     assert rows == [f"`{op}`" for op in ADMIN_OPS]
 
 
-@pytest.mark.parametrize("field, value", [("value", float("nan")), ("value", 0.5), ("value", True), ("nonce", 0.0)])
+@pytest.mark.parametrize("field, value", [("value", 10.0), ("value", 0.5), ("value", True), ("nonce", 0.0)])
 def test_a_submit_whose_amounts_are_not_integers_is_rejected_and_every_balance_stays_an_int(tmp_path, field, value):
     config, doc, dirs = deploy(tmp_path, suffix="nan")
     runtime = NodeRuntime(dirs["miner1"])  # never started: the test calls its dispatch directly
@@ -1104,13 +1105,52 @@ def test_a_submit_whose_amounts_are_not_integers_is_rejected_and_every_balance_s
     draft[field] = value
     del draft["txId"]
     tx = dict(draft, txId=digest_of(draft))  # the id matches its fields, as a sender who chose them would make it
-    line = json.dumps({"op": "submit_tx", "params": {"tx": tx}}).encode()  # as Python's JSON writes it: NaN is NaN
+    line = json.dumps({"op": "submit_tx", "params": {"tx": tx}}).encode()
     handler, reply = runtime._dispatch_admin(line)
     assert handler is None and reply["error"]["code"] == "TxError"
     assert "is not an integer" in reply["error"]["message"]
     assert runtime.chain.mempool == {} and runtime.chain.assemble_candidate() == ()
     assert all(type(balance) is int for balance in runtime.chain.balances.values())
     assert runtime.chain.total_balance() == doc.total_supply()
+
+
+def line_carrying(message: dict, constant: str) -> bytes:
+    """The message as a line whose tx value is the JSON constant, as Python's ``json`` writes NaN and the infinities."""
+    return json.dumps(message).replace('"value": 1', f'"value": {constant}', 1).encode() + b"\n"
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_an_admin_line_carrying_nan_or_an_infinity_is_malformed(tmp_path, constant):
+    config, doc, dirs = deploy(tmp_path, suffix="nanadmin")
+    runtime = NodeRuntime(dirs["miner1"])  # never started: the test calls its dispatch directly
+    tx = make_transaction(account_of(config, "miner1"), account_of(config, "prosumer1"), 1, nonce=0).to_dict()
+    handler, reply = runtime._dispatch_admin(line_carrying({"op": "submit_tx", "params": {"tx": tx}}, constant))
+    assert handler is None and reply["error"]["code"] == "MalformedRequest"
+    assert constant in reply["error"]["message"]
+    assert runtime.chain.mempool == {}
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_a_peer_line_carrying_nan_or_an_infinity_is_answered_with_an_error(tmp_path, boot, constant):
+    config, _, dirs = deploy(tmp_path, suffix="nanpeer")
+    runtime = boot(dirs["miner1"])
+    miner = config.miners[0]
+    tx = make_transaction(account_of(config, "prosumer1"), account_of(config, "miner1"), 1, nonce=0).to_dict()
+    with socket.create_connection((miner.host, miner.blockchain_port), timeout=2) as sock:
+        sock.sendall(line_carrying({"kind": "new_tx", "tx": tx}, constant))
+        reply = json.loads(sock.makefile("rb").readline())
+    assert reply["kind"] == "error" and constant in reply["message"]
+    assert runtime.chain.mempool == {} and not runtime.failed
+
+
+def test_an_append_log_line_carrying_nan_is_unreadable_and_none_is_written(tmp_path):
+    log = tmp_path / "blocks.log"
+    log.write_bytes(b'{"height":NaN}\n{"height":1}\n')
+    with pytest.raises(ValueError, match="blocks.log:1: unreadable line"):
+        read_append_log(log, dict)
+    with log.open("w") as handle, pytest.raises(ValueError, match="not JSON compliant"):
+        append_record(handle, {"height": float("nan")})
+    assert log.read_bytes() == b""
 
 
 def test_a_burst_of_blocks_ahead_of_the_tip_costs_one_catch_up(tmp_path, boot):

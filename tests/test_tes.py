@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -193,6 +194,14 @@ def test_dso_inbox_names_a_missing_order_without_waiting():
         inbox.orders_for(0, {"prosumer1", "prosumer2"})
     assert time.monotonic() - started < 0.1
     assert inbox.orders_for(0, {"prosumer1"}) == [order]
+
+
+def test_dso_inbox_discards_an_order_that_carries_nan():
+    inbox = _DsoInbox()  # a NaN quantity passes Order's "> 0" check, and clear_market never ends on it
+    doc = Order("prosumer1", 0, "offer", 3, 10).to_dict()
+    inbox({"kind": "tes_order", "payload": json.dumps(dict(doc, quantity=float("nan"))).encode()})
+    with pytest.raises(TesError, match="orders missing from prosumer1$"):
+        inbox.orders_for(0, {"prosumer1"})
 
 
 # -- audit (unit level, no network)---------------------------------------------
